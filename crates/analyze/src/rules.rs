@@ -521,12 +521,12 @@ pub fn check_registry(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             continue;
         }
         let version = m[7];
-        if !(1..=2).contains(&version) {
+        if !(1..=3).contains(&version) {
             ctx.push(
                 out,
                 "magic-registry",
                 lit.start,
-                format!("magic {display:?} has version byte {version:#04x}, want 0x01/0x02"),
+                format!("magic {display:?} has version byte {version:#04x}, want 0x01..=0x03"),
             );
         }
         if seen.contains(&m.as_slice()) {

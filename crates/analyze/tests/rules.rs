@@ -315,8 +315,8 @@ fn registry_rejects_bad_entries() {
     assert_eq!(rules_of(&f), ["magic-registry"]);
     // Unknown version byte.
     let f =
-        run_registry("pub static A: Magic = Magic { bytes: b\"DAPCAAA\\x03\", sealed: true };\n");
-    assert!(!f.is_empty());
+        run_registry("pub static A: Magic = Magic { bytes: b\"DAPCAAA\\x04\", sealed: true };\n");
+    assert!(f.iter().any(|x| x.message.contains("version byte")));
     // Duplicate magic and reused tag.
     let f = run_registry(
         "pub static A: Magic = Magic { bytes: b\"DAPCAAA\\x01\", sealed: false };\n\

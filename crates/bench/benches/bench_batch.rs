@@ -4,17 +4,17 @@
 //! 1. sequential-vs-batch: the same corpus solved the PR-1 way (one job
 //!    at a time, no shared prep) and through `solve_many` at 4 concurrent
 //!    jobs with the per-instance-family prep cache;
-//! 2. streaming smoke: `solve_many_streaming` delivers the identical
-//!    results in canonical order with a bounded reorder buffer;
-//! 3. executor-vs-per-solve-pool: on a corpus of many *small* preps, the
-//!    shared-executor batch wall clock beside the per-solve pool
-//!    spawn/teardown tax the former architecture paid (measured
-//!    standalone — the removed cost, not a rerun of the old code). The
-//!    measured line is committed as `BENCH_exec.json` at the repo root;
-//! 4. shard-merge: the same sweep as a 2-shard split — per-shard walls,
-//!    snapshot sizes, serialise+merge overhead (asserted identical to
-//!    the single-process aggregation), and the warm-start shipping win
-//!    when shard 0's prep snapshot seeds shard 1's cache. The measured
+//! 2. streaming smoke: `solve_many_streaming_with_cache` delivers the
+//!    identical results in canonical order with a bounded reorder buffer;
+//! 3. observability tax: on a corpus of many *small* preps, the batch
+//!    wall clock with the `dapc-obs` registry off and on (interleaved
+//!    min-of-N pairs). The `obs_*` fields of `BENCH_exec.json` at the
+//!    repo root were recorded from this line;
+//! 4. shard-merge: the same sweep as a 2-way `Corpus::shard_range` split
+//!    through `solve_range` — per-shard walls, part snapshot sizes,
+//!    serialise+merge overhead (asserted identical to the single-process
+//!    aggregation), and the warm-start shipping win when shard 0's
+//!    `PrepCache::save_to` snapshot seeds shard 1's cache. The measured
 //!    line is committed as `BENCH_shard.json` at the repo root.
 //!
 //! Run quick (CI smoke): `cargo bench -p dapc-bench --bench bench_batch -- --quick`
@@ -24,8 +24,8 @@ use dapc_core::engine::SolveConfig;
 use dapc_graph::gen;
 use dapc_ilp::problems;
 use dapc_runtime::{
-    solve_many, solve_many_streaming, solve_shard, solve_shard_with_cache, Corpus, JobResult,
-    PrepCache, RuntimeConfig, ShardReport,
+    solve_many, solve_many_streaming_with_cache, solve_range, Corpus, JobResult, PartReport,
+    PrepCache, RuntimeConfig, StreamReport,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -69,9 +69,8 @@ fn sweep_corpus() -> Corpus {
 }
 
 /// Many small instances, one seed sweep: every solve's preparation is
-/// tiny, so under the former architecture the per-solve
-/// `ThreadPool::new(prep_workers)` spawn/teardown was a visible fraction
-/// of the job — the workload the shared executor targets.
+/// tiny, so fixed per-solve costs — such as the instrumentation sites'
+/// clock reads — are a visible fraction of each job.
 fn small_prep_corpus() -> Corpus {
     let (count, seeds) = if quick_mode() { (6, 0..2) } else { (10, 0..4) };
     let mut b = Corpus::builder()
@@ -149,7 +148,17 @@ fn report_speedup(_c: &mut Criterion) {
     );
 }
 
-/// Streaming smoke: `solve_many_streaming` hands over the identical
+/// Streams `corpus` with a fresh cache, discarding the per-job results.
+fn stream(corpus: &Corpus, rt: &RuntimeConfig) -> StreamReport {
+    solve_many_streaming_with_cache(corpus, rt, &PrepCache::new(), |_r| {})
+}
+
+/// Solves one range of a 2-way split with `cache`.
+fn shard(corpus: &Corpus, i: usize, rt: &RuntimeConfig, cache: &PrepCache) -> PartReport {
+    solve_range(corpus, corpus.shard_range(i, 2), rt, cache, |_r| {})
+}
+
+/// Streaming smoke: `solve_many_streaming_with_cache` hands over the identical
 /// `(key, report)` sequence in canonical order, with the reorder buffer
 /// staying inside its bound — the CI `--quick` step runs this.
 fn report_streaming_smoke(_c: &mut Criterion) {
@@ -157,9 +166,10 @@ fn report_streaming_smoke(_c: &mut Criterion) {
     let batch = solve_many(&corpus, &batch_config());
     let sink: Arc<Mutex<Vec<JobResult>>> = Arc::default();
     let hook = Arc::clone(&sink);
-    let stream = solve_many_streaming(&corpus, &batch_config(), move |r| {
-        hook.lock().expect("stream sink").push(r);
-    });
+    let stream =
+        solve_many_streaming_with_cache(&corpus, &batch_config(), &PrepCache::new(), move |r| {
+            hook.lock().expect("stream sink").push(r);
+        });
     let streamed = Arc::try_unwrap(sink)
         .expect("hook dropped")
         .into_inner()
@@ -175,85 +185,52 @@ fn report_streaming_smoke(_c: &mut Criterion) {
     );
 }
 
-/// The tentpole measurement: the shared-executor batch wall clock beside
-/// the *per-solve pool tax* the former architecture paid on the same
-/// corpus — one vendored `ThreadPool::new(4)` spawn + teardown per solve,
-/// measured standalone (it cannot be re-inserted into `prepare` itself,
-/// which no longer spawns pools, so this is an emulation of the removed
-/// cost, not a rerun of the old code; the old tax was partially
-/// overlapped across jobs, so the standalone figure is an upper bound on
-/// wall clock and an exact count of spawned threads). Prints one
-/// `BENCH_exec` JSON line; the committed `BENCH_exec.json` records it
-/// with the host's core count.
-fn report_executor_vs_per_solve_pool(_c: &mut Criterion) {
+/// The observability tax: the identical small-prep batch with the
+/// dapc-obs registry armed, so every executor/cache/runtime
+/// instrumentation site takes its hot path (clock reads + atomic bumps)
+/// instead of the single relaxed gate load. Prints one `BENCH_exec` JSON
+/// line with the host's core count.
+fn report_obs_overhead(_c: &mut Criterion) {
     let corpus = small_prep_corpus();
     let rt = RuntimeConfig::new()
         .jobs(2)
         .prep_workers(4)
         .reference_optima(false);
     let quick = quick_mode();
-    let samples = if quick { 1 } else { 3 };
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let (mut shared_exec, mut pool_tax) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples {
-        let start = Instant::now();
-        let stream = solve_many_streaming(&corpus, &rt, |_r| {});
-        shared_exec = shared_exec.min(start.elapsed().as_secs_f64());
-        assert_eq!(stream.jobs, corpus.len());
 
-        // The removed cost, measured alone: the former architecture span
-        // (and tore down) one prep pool per solve.
-        let start = Instant::now();
-        for _ in 0..corpus.len() {
-            let pool = threadpool::ThreadPool::new(4);
-            pool.join();
-        }
-        pool_tax = pool_tax.min(start.elapsed().as_secs_f64());
-    }
-
-    // Observability tax: the identical batch with the dapc-obs registry
-    // armed, so every executor/cache/runtime instrumentation site takes its
-    // hot path (clock reads + atomic bumps) instead of the single relaxed
-    // gate load. The batch is ms-scale, so a single on/off pair is all
-    // scheduler noise: the comparison interleaves off/on pairs and takes
-    // the min of each side, which cancels machine-wide drift. The gate is
-    // restored to off before returning so later report fns stay unmetered.
-    // One batch is ~ms-scale, too short to time against scheduler jitter,
-    // so each timed sample is `reps` back-to-back batches.
+    // The batch is ms-scale, so a single on/off pair is all scheduler
+    // noise: the comparison interleaves off/on pairs and takes the min of
+    // each side, which cancels machine-wide drift. The gate is restored to
+    // off before returning so later report fns stay unmetered. One batch
+    // is too short to time against scheduler jitter, so each timed sample
+    // is `reps` back-to-back batches.
     let (pairs, reps) = if quick { (3, 2) } else { (10, 8) };
     let (mut plain_wall, mut obs_wall) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..pairs {
         dapc_obs::set_enabled(false);
         let start = Instant::now();
         for _ in 0..reps {
-            let stream = solve_many_streaming(&corpus, &rt, |_r| {});
-            assert_eq!(stream.jobs, corpus.len());
+            assert_eq!(stream(&corpus, &rt).jobs, corpus.len());
         }
         plain_wall = plain_wall.min(start.elapsed().as_secs_f64() / reps as f64);
 
         dapc_obs::set_enabled(true);
         let start = Instant::now();
         for _ in 0..reps {
-            let stream = solve_many_streaming(&corpus, &rt, |_r| {});
-            assert_eq!(stream.jobs, corpus.len());
+            assert_eq!(stream(&corpus, &rt).jobs, corpus.len());
         }
         obs_wall = obs_wall.min(start.elapsed().as_secs_f64() / reps as f64);
     }
     dapc_obs::set_enabled(false);
     let obs_overhead = obs_wall / plain_wall - 1.0;
 
-    let tax_fraction = pool_tax / shared_exec;
     println!(
         "BENCH_exec {{\"corpus\":{{\"jobs\":{},\"shape\":\"small-prep\"}},\"quick\":{quick},\
          \"cores\":{cores},\"rt\":{{\"jobs\":2,\"prep_workers\":4}},\
-         \"wall_seconds\":{{\"shared_executor_batch\":{shared_exec:.4},\"per_solve_pool_tax\":{pool_tax:.4},\
-         \"obs_baseline_batch\":{plain_wall:.4},\"obs_enabled_batch\":{obs_wall:.4}}},\
-         \"tax_over_batch\":{tax_fraction:.3},\
-         \"obs_overhead\":{obs_overhead:.3},\
-         \"threads_not_spawned\":{},\
-         \"emulation\":\"tax measured standalone: one ThreadPool::new(4)+join per solve of the same corpus\"}}",
+         \"wall_seconds\":{{\"obs_baseline_batch\":{plain_wall:.4},\"obs_enabled_batch\":{obs_wall:.4}}},\
+         \"obs_overhead\":{obs_overhead:.3}}}",
         corpus.len(),
-        4 * corpus.len(),
     );
 }
 
@@ -263,15 +240,15 @@ fn report_executor_vs_per_solve_pool(_c: &mut Criterion) {
 /// single-process streaming wall, with the merged aggregation asserted
 /// identical (timings aside); and (b) the warm-start shipping win — a
 /// single-family seed sweep split in two, shard 1 solved cold vs seeded
-/// from shard 0's bundled prep snapshot.
+/// from shard 0's prep snapshot.
 fn report_shard_merge(_c: &mut Criterion) {
     let corpus = sweep_corpus();
     let rt = batch_config();
-    let single = solve_many_streaming(&corpus, &rt, |_r| {});
+    let single = stream(&corpus, &rt);
 
     let start = Instant::now();
-    let shard0 = solve_shard(&corpus, 0, 2, &rt);
-    let shard1 = solve_shard(&corpus, 1, 2, &rt);
+    let shard0 = shard(&corpus, 0, &rt, &PrepCache::new());
+    let shard1 = shard(&corpus, 1, &rt, &PrepCache::new());
     let shard_wall = [shard0.wall.as_secs_f64(), shard1.wall.as_secs_f64()];
     let solve_wall = start.elapsed().as_secs_f64();
 
@@ -284,8 +261,8 @@ fn report_shard_merge(_c: &mut Criterion) {
         shipped.push(bytes);
     }
     let snapshot_bytes: usize = shipped.iter().map(Vec::len).sum();
-    let mut merged = ShardReport::load_from(shipped[0].as_slice()).expect("shard 0");
-    merged.merge(ShardReport::load_from(shipped[1].as_slice()).expect("shard 1"));
+    let mut merged = PartReport::load_from(shipped[0].as_slice()).expect("shard 0");
+    merged.merge(PartReport::load_from(shipped[1].as_slice()).expect("shard 1"));
     let stream = merged.finish();
     let merge_wall = start.elapsed().as_secs_f64();
     assert_eq!(stream.jobs, single.jobs);
@@ -313,16 +290,20 @@ fn report_shard_merge(_c: &mut Criterion) {
     // need is the single most expensive shareable entry.
     let srt = RuntimeConfig::new();
     let cold_cache = PrepCache::new();
-    let first = solve_shard_with_cache(&family, 0, 2, &srt, &cold_cache).with_prep(&cold_cache);
+    shard(&family, 0, &srt, &cold_cache);
+    let mut prep = Vec::new();
+    cold_cache.save_to(&mut prep).expect("write to a Vec");
 
     let start = Instant::now();
-    let cold = solve_shard(&family, 1, 2, &srt);
+    let cold = shard(&family, 1, &srt, &PrepCache::new());
     let cold_wall = start.elapsed().as_secs_f64();
 
     let warm_cache = PrepCache::new();
     let start = Instant::now();
-    let seeded = first.warm_start(&warm_cache).expect("load the snapshot");
-    let warm = solve_shard_with_cache(&family, 1, 2, &srt, &warm_cache);
+    let seeded = warm_cache
+        .load_into(prep.as_slice())
+        .expect("load the snapshot");
+    let warm = shard(&family, 1, &srt, &warm_cache);
     let warm_wall = start.elapsed().as_secs_f64();
     assert!(
         warm.cache.misses <= cold.cache.misses,
@@ -356,7 +337,7 @@ criterion_group!(
     bench_batch_paths,
     report_speedup,
     report_streaming_smoke,
-    report_executor_vs_per_solve_pool,
+    report_obs_overhead,
     report_shard_merge
 );
 criterion_main!(benches);

@@ -1,4 +1,5 @@
-//! Regenerates the experiment tables of `EXPERIMENTS.md`.
+//! Regenerates the experiment tables (E1–E10) of the reproduction of the
+//! paper summarised in `PAPER.md`.
 //!
 //! Usage: `tables [--quick|--full] [--jobs N] [--prep-workers N]
 //! [--metrics PATH] [e1 e2 …]` — defaults to `--full`, one concurrent
@@ -22,11 +23,12 @@
 //! ```
 //!
 //! `--shard i/n --emit-shard PATH` solves only shard `i`'s contiguous
-//! slice of every batch corpus and writes the mergeable aggregation
+//! job range (`Corpus::shard_range`) of every batch corpus through
+//! `dapc_runtime::solve_range` and writes the mergeable `PartReport`
 //! snapshots to `PATH` (non-batch experiments are skipped — they run
 //! inline at merge time). `--merge-shards PATHS..` (every following
 //! argument is a path) runs no batch jobs: it merges the recorded
-//! snapshots, verifies they all belong to the same profile/experiment
+//! parts, verifies they all belong to the same profile/experiment
 //! selection and that every shard 0..n is present exactly once, and
 //! prints the same tables the unsharded invocation would.
 //!

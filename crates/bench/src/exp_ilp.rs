@@ -11,7 +11,7 @@
 //!
 //! Structural rule for shard alignment: every experiment issues **all**
 //! of its `Runner::solve` calls first and renders after — in emit mode
-//! the calls record shard reports and rendering is skipped.
+//! the calls record part reports and rendering is skipped.
 
 use crate::shard::Runner;
 use crate::table::{f3, Table};
@@ -435,8 +435,8 @@ pub fn e6(run: &Runner) -> String {
     t.render()
 }
 
-/// E10 — ablations called out in DESIGN.md: preparation count, covering
-/// iteration budget, and the LDD Phase 2 toggle.
+/// E10 — ablations: preparation count, covering iteration budget, and
+/// the LDD Phase 2 toggle.
 pub fn e10(seeds: u64, run: &Runner) -> String {
     // (a) Packing preparation count, via the engine's prep_count override.
     // The ablation rows all sweep the same (instance, budget) family, so

@@ -1,8 +1,9 @@
 //! # dapc-bench
 //!
-//! The experiment harness regenerating every table in `EXPERIMENTS.md`:
-//! one function per experiment id (E1–E10, see DESIGN.md §3), each
-//! returning a rendered markdown table. The `tables` binary drives them:
+//! The experiment harness regenerating every experiment table: one
+//! function per experiment id (E1–E10, listed in [`ALL_EXPERIMENTS`]),
+//! each returning a rendered markdown table. The `tables` binary drives
+//! them (its module docs list every flag):
 //!
 //! ```sh
 //! cargo run -p dapc-bench --release --bin tables             # all
@@ -42,7 +43,7 @@ use shard::Runner;
 pub enum Profile {
     /// Reduced trial counts (~seconds per experiment).
     Quick,
-    /// Full trial counts (the EXPERIMENTS.md numbers).
+    /// Full trial counts (the `tables` default).
     Full,
 }
 
@@ -88,7 +89,7 @@ impl Profile {
 /// (`prep_workers`) on the shared executor, and its mode decides whether
 /// the sweeps run whole ([`Runner::single`]), as one shard of a
 /// multi-process split ([`Runner::emit`] — the experiment then returns
-/// an empty string, its shard reports are collected on the runner), or
+/// an empty string, its part reports are collected on the runner), or
 /// from pre-recorded shard files ([`Runner::merge`]). The remaining
 /// experiments run inline. No runner choice changes a rendered table —
 /// batching *and sharding* are byte-identical to sequential execution.

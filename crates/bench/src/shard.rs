@@ -8,11 +8,12 @@
 //! * **Single** — the classic in-process path: run the whole corpus,
 //!   return the [`StreamReport`] the experiment renders its rows from.
 //! * **Emit** — run only this process's contiguous shard of each corpus
-//!   ([`dapc_runtime::solve_shard`]) and record the mergeable
-//!   [`ShardReport`]; `solve` returns `None`, so the experiment skips
+//!   (the range [`Corpus::shard_range`] names, through
+//!   [`dapc_runtime::solve_range`]) and record the mergeable
+//!   [`PartReport`]; `solve` returns `None`, so the experiment skips
 //!   rendering (a shard's summary is partial by construction). The
-//!   recorded reports are written to a shard file.
-//! * **Merge** — run nothing: pop the next [`ShardReport`] from every
+//!   recorded parts are written to a shard file.
+//! * **Merge** — run nothing: pop the next [`PartReport`] from every
 //!   shard file (the call sequence is deterministic, so the k-th `solve`
 //!   call of every cooperating process solved the same corpus), merge
 //!   them, and return the finished [`StreamReport`] — bit-identical to
@@ -25,17 +26,19 @@
 
 use crate::Profile;
 use dapc_runtime::{
-    snap, solve_many_streaming_with_cache, solve_shard_with_cache, Corpus, PrepCache,
-    RuntimeConfig, ShardReport, StreamReport,
+    snap, solve_many_streaming_with_cache, solve_range, Corpus, PartReport, PrepCache,
+    RuntimeConfig, StreamReport,
 };
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 /// Magic + version prefix of the shard *file* format (a header naming
-/// the run it belongs to, then the recorded [`ShardReport`]s in call
+/// the run it belongs to, then the recorded [`PartReport`]s in call
 /// order): seven identifying bytes and a format version byte. Version 2
-/// appends a whole-file integrity seal ([`snap::seal`]).
+/// appended a whole-file integrity seal ([`snap::seal`]); version 3
+/// holds part blobs instead of the retired whole-shard reports, so an
+/// older file fails as a wrong version before any nested loader runs.
 pub const SHARD_FILE_MAGIC: &[u8; 8] = dapc_core::snapmagic::SHARD_FILE.bytes;
 
 /// How a [`Runner`] executes the batch experiments' `solve` calls.
@@ -47,10 +50,10 @@ enum Mode {
     Emit {
         shard: usize,
         shards: usize,
-        reports: Vec<ShardReport>,
+        reports: Vec<PartReport>,
     },
     /// Replay recorded reports, one queue per cooperating shard file.
-    Merge { queues: Vec<VecDeque<ShardReport>> },
+    Merge { queues: Vec<VecDeque<PartReport>> },
 }
 
 /// Executes the batch experiments' corpus sweeps in Single, Emit or
@@ -91,9 +94,9 @@ impl Runner {
         }
     }
 
-    /// A runner that merges pre-recorded shard reports: `shards[i]` is
+    /// A runner that merges pre-recorded part reports: `shards[i]` is
     /// the report sequence of cooperating process `i`, in call order.
-    pub fn merge(rt: RuntimeConfig, shards: Vec<Vec<ShardReport>>) -> Self {
+    pub fn merge(rt: RuntimeConfig, shards: Vec<Vec<PartReport>>) -> Self {
         Runner {
             rt,
             mode: RefCell::new(Mode::Merge {
@@ -151,11 +154,12 @@ impl Runner {
                 shards,
                 reports,
             } => {
-                reports.push(solve_shard_with_cache(corpus, *shard, *shards, &rt, cache));
+                let range = corpus.shard_range(*shard, *shards);
+                reports.push(solve_range(corpus, range, &rt, cache, |_r| {}));
                 None
             }
             Mode::Merge { queues } => {
-                let mut merged: Option<ShardReport> = None;
+                let mut merged: Option<PartReport> = None;
                 for (i, queue) in queues.iter_mut().enumerate() {
                     let report = queue.pop_front().unwrap_or_else(|| {
                         panic!(
@@ -189,7 +193,7 @@ impl Runner {
     /// # Panics
     ///
     /// Panics on a non-Emit runner.
-    pub fn into_emitted(self) -> Vec<ShardReport> {
+    pub fn into_emitted(self) -> Vec<PartReport> {
         match self.mode.into_inner() {
             Mode::Emit { reports, .. } => reports,
             _ => panic!("into_emitted on a non-emit runner"),
@@ -229,11 +233,11 @@ pub struct ShardFile {
     pub shard: usize,
     /// Total shard count of the split.
     pub shards: usize,
-    /// Recorded reports, in experiment call order.
-    pub reports: Vec<ShardReport>,
+    /// Recorded parts, in experiment call order.
+    pub reports: Vec<PartReport>,
 }
 
-/// Writes one process's recorded shard reports with the header that lets
+/// Writes one process's recorded part reports with the header that lets
 /// the merging invocation verify every file belongs to the same run.
 ///
 /// # Errors
@@ -245,7 +249,7 @@ pub fn write_shard_file<W: Write>(
     ids: &str,
     shard: usize,
     shards: usize,
-    reports: &[ShardReport],
+    reports: &[PartReport],
 ) -> io::Result<()> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SHARD_FILE_MAGIC);
@@ -301,15 +305,15 @@ pub fn read_shard_file<R: Read>(r: R) -> io::Result<ShardFile> {
     let count = snap::read_u64(&mut r)?;
     let mut reports = Vec::new();
     for _ in 0..count {
-        let blob = snap::read_bytes(&mut r, "shard report")?;
-        reports.push(ShardReport::load_from(blob.as_slice())?);
+        let blob = snap::read_bytes(&mut r, "part report")?;
+        reports.push(PartReport::load_from(blob.as_slice())?);
     }
     r.verify_seal("shard-file")?;
     // Self-delimiting like every snapshot format here: bytes after the
     // last report are corruption (e.g. concatenated files), not padding.
     let mut trailing = [0u8; 1];
     if r.read(&mut trailing)? != 0 {
-        return Err(snap::invalid("trailing bytes after the last shard report"));
+        return Err(snap::invalid("trailing bytes after the last part report"));
     }
     Ok(ShardFile {
         profile,

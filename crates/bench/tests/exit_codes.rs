@@ -5,7 +5,7 @@
 //! `dapc_serve::exit`; these tests pin the shard runner to it, both at
 //! the library layer and through the real binary.
 
-use dapc_bench::shard::read_shard_file;
+use dapc_bench::shard::{read_shard_file, SHARD_FILE_MAGIC};
 use dapc_serve::exit;
 use std::process::{Command, Stdio};
 
@@ -14,10 +14,20 @@ const TABLES: &str = env!("CARGO_BIN_EXE_tables");
 #[test]
 fn shard_file_failures_classify_by_retryability() {
     // Corrupt bytes behind a valid magic: InvalidData, not retryable.
-    let err = read_shard_file(&b"DAPCSHF\x01garbage follows the magic"[..])
-        .expect_err("corrupt shard file must not load");
+    let mut corrupt = SHARD_FILE_MAGIC.to_vec();
+    corrupt.extend_from_slice(b"garbage follows the magic");
+    let err = read_shard_file(corrupt.as_slice()).expect_err("corrupt shard file must not load");
     assert_eq!(exit::classify(&err), exit::EXIT_BAD_SNAPSHOT, "{err}");
     assert!(!exit::is_retryable(Some(exit::classify(&err))));
+
+    // A file of the previous format version (whole-shard reports inside)
+    // fails as a wrong version at the header, before any nested loader.
+    let mut stale = SHARD_FILE_MAGIC.to_vec();
+    stale[7] -= 1;
+    stale.extend_from_slice(b"an older shard-report payload");
+    let err = read_shard_file(stale.as_slice()).expect_err("an old shard file must not load");
+    assert!(err.to_string().contains("version"), "{err}");
+    assert_eq!(exit::classify(&err), exit::EXIT_BAD_SNAPSHOT, "{err}");
 
     // Truncation is corruption under the all-or-nothing discipline.
     let err = read_shard_file(&b"DAPCSHF"[..]).expect_err("truncated magic must not load");
@@ -48,7 +58,9 @@ fn merging_a_corrupt_shard_file_exits_with_the_bad_snapshot_code() {
     let torn = dir.join(format!("tables-torn-{}.bin", std::process::id()));
     // A valid magic followed by garbage: the loader must reject it and
     // the binary must die with the corrupt-input code, not the I/O one.
-    std::fs::write(&torn, b"DAPCSHF\x01garbage").expect("write torn shard file");
+    let mut bytes = SHARD_FILE_MAGIC.to_vec();
+    bytes.extend_from_slice(b"garbage");
+    std::fs::write(&torn, bytes).expect("write torn shard file");
     let status = Command::new(TABLES)
         .arg("--quick")
         .arg("--merge-shards")

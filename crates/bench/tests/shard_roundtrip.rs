@@ -93,6 +93,17 @@ fn emit_ship_merge_equals_single_process() {
         assert_eq!(file.ids, "mini");
         assert_eq!((file.shard, file.shards), (shard, 2));
         assert_eq!(file.reports.len(), corpora().len());
+        // Every recorded part covers exactly this shard's range.
+        for (part, corpus) in file.reports.iter().zip(&corpora()) {
+            assert_eq!(part.corpus_jobs, corpus.len());
+            let range = corpus.shard_range(shard, 2);
+            let want = if range.is_empty() {
+                vec![]
+            } else {
+                vec![range]
+            };
+            assert_eq!(part.covered(), want);
+        }
         queues.push(file.reports);
     }
     let merged_runner = Runner::merge(rt, queues);

@@ -56,7 +56,6 @@ const fn site_policy(site: &str) -> (u64, u64) {
     match site.as_bytes() {
         b"part.write" => (6, 2),
         b"part.load" => (10, 2),
-        b"shard.load" => (8, 2),
         b"shard.write" => (4, 2),
         b"manifest.load" => (16, 1),
         b"worker.stall" => (4, 4),

@@ -10,7 +10,7 @@
 //! `≥ (1 − ε)³·W*`, and the re-weighted decomposition concentrates enough
 //! mass on the good variables for its clustered solution to match.
 //!
-//! *Substitution (documented, DESIGN.md §2):* the paper's final step uses a
+//! *Substitution:* the paper's final step uses a
 //! *weighted* extension of Theorem 1.1; we use the same Lemma C.1
 //! decomposition for the final step (its per-vertex deletion bound is
 //! weight-oblivious) and additionally return the best candidate, so the

@@ -66,13 +66,6 @@ pub const AGGREGATOR: Magic = Magic {
     name: "batch-aggregator snapshot",
 };
 
-/// `dapc_runtime::ShardReport` snapshot (whole-shard results).
-pub const SHARD: Magic = Magic {
-    bytes: b"DAPCSHD\x02",
-    sealed: true,
-    name: "shard report snapshot",
-};
-
 /// `dapc_runtime::PartReport` checkpoint (contiguous job range).
 pub const PART: Magic = Magic {
     bytes: b"DAPCPRT\x02",
@@ -94,20 +87,21 @@ pub const MANIFEST: Magic = Magic {
     name: "sweep manifest",
 };
 
-/// `dapc_bench::shard` shard *file* (header + recorded shard reports).
+/// `dapc_bench::shard` shard *file* (header + recorded part reports).
+/// Version 3 switched the payload from whole-shard reports to
+/// `dapc_runtime::PartReport` blobs.
 pub const SHARD_FILE: Magic = Magic {
-    bytes: b"DAPCSHF\x02",
+    bytes: b"DAPCSHF\x03",
     sealed: true,
     name: "bench shard file",
 };
 
 /// Every registered format, for the consistency test and for tooling
 /// that wants to recognise any workspace snapshot.
-pub const ALL: [&Magic; 8] = [
+pub const ALL: [&Magic; 7] = [
     &SUBSET_CACHE,
     &PREP_CACHE,
     &AGGREGATOR,
-    &SHARD,
     &PART,
     &SPEC,
     &MANIFEST,
@@ -133,7 +127,7 @@ mod tests {
                 m.name
             );
             assert!(
-                (1..=2).contains(&m.version()),
+                (1..=3).contains(&m.version()),
                 "{} has unknown version byte {:#04x}",
                 m.name,
                 m.version()
@@ -157,6 +151,6 @@ mod tests {
                 m.name
             );
         }
-        assert_eq!(ALL.len(), 8, "keep the table in sync with the formats");
+        assert_eq!(ALL.len(), 7, "keep the table in sync with the formats");
     }
 }

@@ -121,7 +121,8 @@ impl PrepCache {
     /// Persists **every** family's memoised subset solves in one
     /// versioned snapshot (see [`PREP_CACHE_MAGIC`]) — the whole-cache
     /// form of [`PrepCache::save_family`], used to ship prep work between
-    /// shard processes ([`crate::ShardReport::with_prep`]). The byte
+    /// cooperating processes (load it with [`PrepCache::load_into`] before
+    /// [`crate::solve_range`]; `dapc-serve worker --warm`). The byte
     /// stream is canonical: families are written sorted by key, each in
     /// the `SharedSubsetCache` canonical entry order.
     ///
@@ -262,7 +263,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fieldwise sum with another process's counters, used when merging
-    /// [`crate::ShardReport`]s: the work counters (`hits`, `misses`,
+    /// [`crate::PartReport`]s: the work counters (`hits`, `misses`,
     /// `evictions`) add exactly; `families`/`entries`/`bytes` become
     /// totals *across per-process caches*, which may double-count a
     /// family two shards both materialised.

@@ -128,14 +128,6 @@ impl Corpus {
         (shard * len / shards)..((shard + 1) * len / shards)
     }
 
-    /// Materialises the jobs of one shard (see
-    /// [`Corpus::shard_range`]), in canonical order, with their global
-    /// indices and keys intact. Builds only the shard's slice — a shard
-    /// process never pays for the whole corpus.
-    pub fn shard_jobs(&self, shard: usize, shards: usize) -> Vec<Job> {
-        self.range_jobs(self.shard_range(shard, shards))
-    }
-
     /// Materialises the jobs of an **arbitrary** contiguous slice of the
     /// canonical order — the work unit of partial-shard scheduling: a
     /// coordinator that reassigns a crashed worker's remaining jobs hands
@@ -154,6 +146,17 @@ impl Corpus {
             self.len()
         );
         range.map(|i| self.job_at(i)).collect()
+    }
+
+    /// The instances owning at least one job of `range`: jobs are
+    /// instance-major, so that is one contiguous run of the instance
+    /// list, found without materialising a job.
+    pub(crate) fn instances_in(&self, range: &Range<usize>) -> &[CorpusInstance] {
+        if range.is_empty() {
+            return &[];
+        }
+        let per_instance = self.len() / self.instances.len();
+        &self.instances[range.start / per_instance..=(range.end - 1) / per_instance]
     }
 
     /// Materialises every job in canonical order: instance-major, then
@@ -385,7 +388,7 @@ mod tests {
             let mut seen = Vec::new();
             for shard in 0..shards {
                 let range = corpus.shard_range(shard, shards);
-                let jobs = corpus.shard_jobs(shard, shards);
+                let jobs = corpus.range_jobs(range.clone());
                 assert_eq!(jobs.len(), range.len());
                 for (job, index) in jobs.iter().zip(range.clone()) {
                     assert_eq!(job.index, index, "shards must keep global indices");
@@ -406,6 +409,33 @@ mod tests {
                 .collect();
             let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(max - min <= 1, "unbalanced split {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn instances_in_matches_the_materialised_jobs() {
+        let corpus = Corpus::builder()
+            .instance("a", mis(6))
+            .instance("b", mis(8))
+            .instance("c", mis(10))
+            .backend("greedy")
+            .seeds(0..3)
+            .build();
+        for start in 0..=corpus.len() {
+            for end in start..=corpus.len() {
+                let mut want: Vec<String> = corpus
+                    .range_jobs(start..end)
+                    .into_iter()
+                    .map(|j| j.key.instance)
+                    .collect();
+                want.dedup();
+                let got: Vec<&str> = corpus
+                    .instances_in(&(start..end))
+                    .iter()
+                    .map(|i| i.name.as_str())
+                    .collect();
+                assert_eq!(got, want, "range {start}..{end}");
+            }
         }
     }
 

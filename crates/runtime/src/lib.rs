@@ -3,12 +3,19 @@
 //! The parallel batch-solve subsystem: stream whole corpora of
 //! `(instance × backend × ε × seed)` jobs across the process-wide
 //! `dapc_exec` executor with per-instance-family prep caching, and get
-//! back the aggregation the experiment tables need — either with the full
-//! per-job result vector ([`solve_many`] → [`BatchReport`]), purely
-//! online ([`solve_many_streaming`] → [`StreamReport`] plus an
-//! `on_result` hook) for corpora that do not fit one process's memory, or
-//! **sharded across processes** ([`solve_shard`] → mergeable
-//! [`ShardReport`] snapshots) for corpora that do not fit one machine.
+//! back the aggregation the experiment tables need. Three entry points
+//! share one pipeline:
+//!
+//! - [`solve_range`] solves any contiguous canonical job range and
+//!   returns a mergeable, snapshotable [`PartReport`] — the unit every
+//!   split of a sweep across processes ships, whether a static i-of-n
+//!   split ([`Corpus::shard_range`]) or a crashed worker's reassigned
+//!   remainder;
+//! - [`solve_many_streaming_with_cache`] is the whole-corpus range,
+//!   finished into a [`StreamReport`], with an `on_result` hook for
+//!   corpora that do not fit one process's memory;
+//! - [`solve_many`] collects the full per-job result vector into a
+//!   [`BatchReport`].
 //!
 //! Four guarantees shape the design:
 //!
@@ -70,20 +77,13 @@ mod corpus;
 mod part;
 mod report;
 mod run;
-mod shard;
 pub mod snap;
 
 pub use cache::{CacheStats, PrepCache, PREP_CACHE_MAGIC};
 pub use corpus::{Corpus, CorpusBuilder, Job, JobKey};
-pub use part::{
-    solve_range, solve_range_streaming_with_cache, solve_range_with_cache, PartReport, PART_MAGIC,
-};
+pub use part::{PartReport, PART_MAGIC};
 pub use report::{
     BackendSummary, BatchAggregator, BatchReport, GroupStats, GroupSummary, JobResult,
     StreamReport, AGGREGATOR_MAGIC,
 };
-pub use run::{
-    solve_many, solve_many_streaming, solve_many_streaming_with_cache, solve_many_with_cache,
-    RuntimeConfig,
-};
-pub use shard::{solve_shard, solve_shard_with_cache, ShardReport, SHARD_MAGIC};
+pub use run::{solve_many, solve_many_streaming_with_cache, solve_range, RuntimeConfig};

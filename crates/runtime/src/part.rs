@@ -1,29 +1,30 @@
-//! Partial-sweep results over **arbitrary** contiguous job ranges — the
-//! checkpoint and work-stealing unit underneath `dapc-serve`'s
-//! fault-tolerant orchestration.
+//! Sweep results over **arbitrary** contiguous job ranges — the one
+//! mergeable snapshot every split of a sweep ships: the checkpoint unit
+//! of `dapc-serve`'s fault-tolerant orchestration, the payload of the
+//! `tables --shard i/n` files, and (as the range `0..len`) the whole
+//! single-process sweep.
 //!
-//! [`crate::solve_shard`] fixes the unit of distribution at "one shard of
-//! a static i-of-n split". A fault-tolerant coordinator needs something
-//! finer: when a worker dies halfway through its slice, the *remaining*
-//! job range must be reassignable to any other worker, and the completed
-//! prefix must be salvageable from checkpoints. [`solve_range`] and
-//! [`PartReport`] provide exactly that: solve any contiguous canonical
-//! range, get back a snapshotable aggregation that merges with any other
-//! disjoint range of the same corpus — merging is associative and
-//! commutative (the mergeable-span [`BatchAggregator`] does the heavy
-//! lifting), so *any* disjoint cover of the corpus, however it was carved
-//! up by crashes and retries, finishes into the identical
-//! [`StreamReport`] the single-process run produces, timings aside.
+//! Every job is a pure function of its [`crate::JobKey`], so any split
+//! of a sweep across processes is a partition of job ranges. A static
+//! i-of-n split is [`crate::Corpus::shard_range`]; when a worker dies
+//! halfway through its slice, the *remaining* range is reassignable to
+//! any other worker and the completed prefix is salvageable from
+//! checkpoints. [`crate::solve_range`] solves any contiguous canonical
+//! range into a [`PartReport`] that merges with any other disjoint range
+//! of the same corpus — merging is associative and commutative (the
+//! mergeable-span [`BatchAggregator`] does the heavy lifting), so *any*
+//! disjoint cover of the corpus, however it was carved up by crashes and
+//! retries, finishes into the identical [`StreamReport`] the
+//! single-process run produces, timings aside. This is the
+//! aggregate-by-compact-summaries shape of distributed covering/packing
+//! (Koufogiannakis & Young) applied to the experiment sweep itself.
 
-use crate::cache::{CacheStats, PrepCache};
-use crate::corpus::Corpus;
+use crate::cache::CacheStats;
 use crate::report::{BatchAggregator, StreamReport};
-use crate::run::{reference_optima, stream_jobs, RuntimeConfig};
 use crate::snap;
-use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read};
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Magic + version prefix of the part-report snapshot format: seven
 /// identifying bytes and a format version byte. The body is the fixed
@@ -37,16 +38,16 @@ use std::time::{Duration, Instant};
 pub const PART_MAGIC: &[u8; 8] = dapc_core::snapmagic::PART.bytes;
 
 /// The aggregation of one contiguous job range of a corpus (or, after
-/// merging, of any disjoint union of ranges): what a checkpoint file
-/// holds and what a coordinator stitches back together. Produced by
-/// [`solve_range`], shipped with [`PartReport::save_to`] /
+/// merging, of any disjoint union of ranges): what a checkpoint or shard
+/// file holds and what a coordinator stitches back together. Produced by
+/// [`crate::solve_range`], shipped with [`PartReport::save_to`] /
 /// [`PartReport::load_from`], recombined with [`PartReport::merge`] and
-/// closed out with [`PartReport::finish`].
+/// closed out with [`PartReport::finish`]. Its size is proportional to
+/// the number of summary cells, not jobs.
 ///
-/// Unlike [`crate::ShardReport`] a part carries no `i`-of-`n` shard
-/// coordinates — its identity is the canonical ranges its aggregator
-/// covers ([`PartReport::covered`]), which is what makes crash-driven
-/// repartitions mergeable at all.
+/// A part carries no `i`-of-`n` split coordinates — its identity is the
+/// canonical ranges its aggregator covers ([`PartReport::covered`]),
+/// which is what makes crash-driven repartitions mergeable at all.
 #[derive(Debug)]
 pub struct PartReport {
     /// Total jobs of the corpus being partially solved (validation that
@@ -68,15 +69,15 @@ pub struct PartReport {
     /// Reorder-buffer high-water mark (after merging: the maximum).
     pub peak_buffered: usize,
     /// Wall-clock time spent producing the part. Merging takes the
-    /// per-part **maximum**, like shard merging: cooperating processes
-    /// run concurrently.
+    /// per-part **maximum**: cooperating processes run concurrently, so
+    /// the merged wall models the slowest part, not the sum.
     pub wall: Duration,
 }
 
 impl PartReport {
     /// The canonical job ranges this part covers, in normal form
     /// (sorted, disjoint, adjacent runs coalesced) — one entry straight
-    /// from [`solve_range`], possibly several after merging
+    /// from [`crate::solve_range`], possibly several after merging
     /// non-adjacent parts.
     pub fn covered(&self) -> Vec<Range<usize>> {
         self.aggregator.covered()
@@ -85,7 +86,9 @@ impl PartReport {
     /// Folds another part of the same sweep into this one: aggregators
     /// merge (associative and commutative over disjoint job sets), cache
     /// counters sum, wall time and concurrency telemetry take per-part
-    /// maxima.
+    /// maxima. Summing the walls would bill a 4-process sweep 4× its
+    /// elapsed time; the `merge_takes_per_part_wall_maximum` unit test
+    /// pins the semantics.
     ///
     /// # Panics
     ///
@@ -248,109 +251,50 @@ impl PartReport {
     }
 }
 
-/// Solves the contiguous canonical job range `range` of `corpus` with a
-/// fresh [`PrepCache`], returning the mergeable [`PartReport`].
-///
-/// Every `(key, report)` outcome inside the range is byte-identical to
-/// the same job in the unsharded sweep, at any `jobs`/`prep_workers`
-/// setting — jobs keep their global keys and key-derived RNG streams.
-/// Reference optima are solved only for the instances the range actually
-/// touches; ranges sharing an instance compute the same (deterministic)
-/// optimum, which the merge verifies.
-///
-/// # Examples
-///
-/// A corpus carved into three uneven ranges — the shape a crashed
-/// worker's reassigned remainder produces — merges back to the
-/// single-process aggregation:
-///
-/// ```
-/// use dapc_graph::gen;
-/// use dapc_ilp::problems;
-/// use dapc_runtime::{solve_many_streaming, solve_range, Corpus, RuntimeConfig};
-///
-/// let corpus = Corpus::builder()
-///     .instance(
-///         "MIS/cycle12",
-///         problems::max_independent_set_unweighted(&gen::cycle(12)),
-///     )
-///     .backend("greedy")
-///     .backend("bnb")
-///     .eps(0.3)
-///     .seeds(0..3)
-///     .build();
-/// let rt = RuntimeConfig::new();
-///
-/// // Ranges may merge in any order and any grouping.
-/// let mut merged = solve_range(&corpus, 4..5, &rt);
-/// merged.merge(solve_range(&corpus, 0..4, &rt));
-/// merged.merge(solve_range(&corpus, 5..corpus.len(), &rt));
-/// let stitched = merged.finish();
-///
-/// let single = solve_many_streaming(&corpus, &rt, |_r| {});
-/// assert_eq!(stitched.jobs, single.jobs);
-/// for (a, b) in stitched.groups.iter().zip(&single.groups) {
-///     let (mut a, mut b) = (a.clone(), b.clone());
-///     a.micros = 0; // wall-clock columns differ run to run,
-///     b.micros = 0; // everything else is equal bit for bit
-///     assert_eq!(a, b);
-/// }
-/// ```
-///
-/// # Panics
-///
-/// Panics when `range` reaches beyond the corpus.
-pub fn solve_range(corpus: &Corpus, range: Range<usize>, rt: &RuntimeConfig) -> PartReport {
-    solve_range_with_cache(corpus, range, rt, &PrepCache::new())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// [`solve_range`] against a caller-owned [`PrepCache`] — warm it first
-/// (e.g. from an earlier worker's prep snapshot) to ship memoised prep
-/// work between cooperating processes.
-pub fn solve_range_with_cache(
-    corpus: &Corpus,
-    range: Range<usize>,
-    rt: &RuntimeConfig,
-    cache: &PrepCache,
-) -> PartReport {
-    solve_range_streaming_with_cache(corpus, range, rt, cache, |_r| {})
-}
+    fn bare_part(start: usize, wall: Duration, workers: usize) -> PartReport {
+        PartReport {
+            corpus_jobs: 8,
+            start,
+            jobs: 0,
+            aggregator: BatchAggregator::new(),
+            cache: CacheStats {
+                families: 1,
+                entries: 2,
+                bytes: 100,
+                hits: 10,
+                misses: 5,
+                evictions: 1,
+            },
+            workers,
+            peak_buffered: workers,
+            wall,
+        }
+    }
 
-/// [`solve_range_with_cache`] with an `on_result` hook: every
-/// [`crate::JobResult`] of the range is handed over by value exactly
-/// once, in canonical order, before being dropped — the range-scoped
-/// sibling of [`crate::solve_many_streaming`], and what a solve service
-/// uses to stream per-job results to a client while the mergeable
-/// aggregation accrues.
-pub fn solve_range_streaming_with_cache<F>(
-    corpus: &Corpus,
-    range: Range<usize>,
-    rt: &RuntimeConfig,
-    cache: &PrepCache,
-    on_result: F,
-) -> PartReport
-where
-    F: FnMut(crate::JobResult) + Send + 'static,
-{
-    // dapc-allow(wall-clock): wall-time report field; timings are excluded from report identity
-    let start = Instant::now();
-    let jobs = corpus.range_jobs(range.clone());
-    let optima = if rt.reference_optima && !jobs.is_empty() {
-        let touched: BTreeSet<&str> = jobs.iter().map(|j| j.key.instance.as_str()).collect();
-        reference_optima(corpus, Some(&touched), rt.prep_cache, cache)
-    } else {
-        BTreeMap::new()
-    };
-    let aggregator = BatchAggregator::with_optima_at(optima, range.start);
-    let (aggregator, pumps, peak_buffered) = stream_jobs(jobs, aggregator, rt, cache, on_result);
-    PartReport {
-        corpus_jobs: corpus.len(),
-        start: range.start,
-        jobs: range.len(),
-        aggregator,
-        cache: cache.stats(),
-        workers: pumps,
-        peak_buffered,
-        wall: start.elapsed(),
+    /// Pins the documented merge semantics: wall time and concurrency
+    /// telemetry take per-part **maxima** (parts run concurrently, so the
+    /// merged wall is the critical path, never the sum), while cache
+    /// counters sum fieldwise.
+    #[test]
+    fn merge_takes_per_part_wall_maximum() {
+        let mut merged = bare_part(4, Duration::from_micros(300), 2);
+        merged.merge(bare_part(2, Duration::from_micros(700), 5));
+        merged.merge(bare_part(6, Duration::from_micros(400), 3));
+
+        assert_eq!(
+            merged.wall,
+            Duration::from_micros(700),
+            "merged wall is the slowest part, not the 1400µs sum"
+        );
+        assert_eq!(merged.workers, 5, "workers take the maximum");
+        assert_eq!(merged.peak_buffered, 5, "peak_buffered takes the maximum");
+        assert_eq!(merged.start, 2, "merged start is the smallest");
+        assert_eq!(merged.cache.hits, 30, "cache counters sum");
+        assert_eq!(merged.cache.misses, 15);
+        assert_eq!(merged.cache.evictions, 3);
     }
 }

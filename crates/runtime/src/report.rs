@@ -5,9 +5,8 @@
 //! [`BatchAggregator`] consumes [`JobResult`]s one at a time in the
 //! corpus's canonical order and folds the per-`(instance, backend, ε)`
 //! and per-backend summaries incrementally, so
-//! [`crate::solve_many_streaming`] never has to hold the full result
-//! vector — [`crate::solve_many`] is a thin wrapper that still collects
-//! one.
+//! [`crate::solve_range`] never has to hold the full result vector —
+//! [`crate::solve_many`] is a thin wrapper that still collects one.
 //!
 //! Since the shard-merge refactor the aggregator is also *mergeable*:
 //! every per-cell accumulator is kept in an exactly-mergeable form —
@@ -15,7 +14,7 @@
 //! per-shard maxima for the worst-seed phase counters — grouped into
 //! **spans** of consecutive canonical job indices. N cooperating
 //! processes each fold their contiguous slice of the corpus (see
-//! [`crate::solve_shard`]), ship a versioned binary snapshot
+//! [`crate::solve_range`]), ship a versioned binary snapshot
 //! ([`BatchAggregator::save_to`] / [`BatchAggregator::load_from`]), and
 //! [`BatchAggregator::merge`] reassembles them into the *identical*
 //! aggregation a single process would have produced: sums and extrema are
@@ -255,10 +254,10 @@ impl BatchReport {
     }
 }
 
-/// Everything [`crate::solve_many_streaming`] returns: the aggregation of
-/// a batch *without* its per-job result vector — jobs were handed to the
-/// `on_result` hook in canonical order and dropped, so a corpus no longer
-/// has to fit its full report vector in memory.
+/// Everything [`crate::solve_many_streaming_with_cache`] returns: the
+/// aggregation of a batch *without* its per-job result vector — jobs were
+/// handed to the `on_result` hook in canonical order and dropped, so a
+/// corpus no longer has to fit its full report vector in memory.
 #[derive(Clone, Debug)]
 pub struct StreamReport {
     /// Number of jobs solved (and delivered to the hook).
@@ -462,7 +461,7 @@ impl Span {
 ///
 /// Feed every result exactly once via [`BatchAggregator::push`] —
 /// **in canonical order** (the order [`crate::Corpus::jobs`] defines;
-/// [`crate::solve_many_streaming`]'s reorder buffer guarantees it) — then
+/// [`crate::solve_range`]'s reorder buffer guarantees it) — then
 /// call [`BatchAggregator::finish`]. A shard aggregator starts at its
 /// slice's first canonical index ([`BatchAggregator::with_optima_at`])
 /// and is recombined with [`BatchAggregator::merge`]; because every
@@ -599,7 +598,7 @@ impl BatchAggregator {
     /// ```
     /// use dapc_graph::gen;
     /// use dapc_ilp::problems;
-    /// use dapc_runtime::{solve_many, solve_shard, Corpus, RuntimeConfig};
+    /// use dapc_runtime::{solve_many, solve_range, Corpus, PrepCache, RuntimeConfig};
     ///
     /// let corpus = Corpus::builder()
     ///     .instance(
@@ -611,10 +610,14 @@ impl BatchAggregator {
     ///     .seeds(0..6)
     ///     .build();
     /// let rt = RuntimeConfig::new();
+    /// let shard = |i| {
+    ///     let range = corpus.shard_range(i, 2);
+    ///     solve_range(&corpus, range, &rt, &PrepCache::new(), |_r| {})
+    /// };
     /// // Two cooperating processes, one shard each — merged in reverse
     /// // order, merge is commutative.
-    /// let first = solve_shard(&corpus, 0, 2, &rt);
-    /// let second = solve_shard(&corpus, 1, 2, &rt);
+    /// let first = shard(0);
+    /// let second = shard(1);
     /// let mut merged = second.aggregator;
     /// merged.merge(first.aggregator);
     /// let (groups, _) = merged.finish();
@@ -702,9 +705,8 @@ impl BatchAggregator {
     /// indices — a middle shard of the corpus was never merged in. The
     /// aggregator does not know the corpus size, so a missing *first or
     /// last* shard cannot be detected here; merge at the
-    /// [`crate::ShardReport`] level, whose
-    /// [`crate::ShardReport::finish`] checks full coverage against the
-    /// corpus job count.
+    /// [`crate::PartReport`] level, whose [`crate::PartReport::finish`]
+    /// checks full coverage against the corpus job count.
     pub fn finish(self) -> (Vec<GroupSummary>, Vec<BackendSummary>) {
         let spans = Self::coalesced(self.spans);
         if let [first, second, ..] = &spans[..] {

@@ -1,13 +1,15 @@
 //! The batch driver: stream a corpus through the process-wide executor.
 //!
-//! [`solve_many_streaming`] is the core pipeline: `min(jobs, |corpus|)`
-//! pump tasks on the shared `dapc_exec` pool claim jobs from an atomic
-//! cursor, and finished results flow through a **bounded reorder buffer**
-//! that restores the corpus's canonical order before feeding an online
+//! [`solve_range`] is the one pipeline: `min(jobs, |range|)` pump tasks
+//! on the shared `dapc_exec` pool claim jobs from an atomic cursor, and
+//! finished results flow through a **bounded reorder buffer** that
+//! restores the corpus's canonical order before feeding an online
 //! [`BatchAggregator`] and the caller's `on_result` hook — so a corpus
-//! never has to fit its full report vector in one process.
-//! [`solve_many`] is a thin wrapper that collects the per-job results
-//! into the familiar [`BatchReport`].
+//! never has to fit its full report vector in one process. The result is
+//! a mergeable [`PartReport`]. [`solve_many_streaming_with_cache`] is the
+//! whole-corpus range, finished into a [`StreamReport`], and
+//! [`solve_many`] collects the per-job results into the familiar
+//! [`BatchReport`].
 //!
 //! When a job's own preparation step shards (`prep_workers > 1`), its
 //! subset solves are submitted to the *same* executor pool the job runs
@@ -16,11 +18,13 @@
 //! instead of oversubscribing the machine.
 
 use crate::cache::PrepCache;
-use crate::corpus::{Corpus, Job};
+use crate::corpus::{Corpus, CorpusInstance, Job};
+use crate::part::PartReport;
 use crate::report::{BatchAggregator, BatchReport, JobResult, StreamReport};
 use dapc_core::engine;
 use dapc_core::prep::SubsetSolver;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -138,33 +142,23 @@ impl RuntimeConfig {
     }
 }
 
-/// Solves every job of `corpus` under `rt` with a fresh [`PrepCache`].
+/// Solves every job of `corpus` under `rt` with a fresh [`PrepCache`],
+/// collecting the per-job results into a [`BatchReport`].
 ///
 /// Results come back in the corpus's canonical order and are
 /// byte-identical to sequential execution (`jobs = 1`) at any worker
 /// count: each job draws its randomness from an RNG derived from its own
-/// key, and cached subset solves are deterministic.
+/// key, and cached subset solves are deterministic. A thin wrapper over
+/// [`solve_many_streaming_with_cache`] whose `on_result` hook collects
+/// every job.
 pub fn solve_many(corpus: &Corpus, rt: &RuntimeConfig) -> BatchReport {
-    solve_many_with_cache(corpus, rt, &PrepCache::new())
-}
-
-/// [`solve_many`] against a caller-owned [`PrepCache`], so the memo stays
-/// warm across successive batches over the same instance families.
-///
-/// A thin wrapper over [`solve_many_streaming_with_cache`] whose
-/// `on_result` hook collects every job into the returned
-/// [`BatchReport`]'s result vector.
-pub fn solve_many_with_cache(
-    corpus: &Corpus,
-    rt: &RuntimeConfig,
-    cache: &PrepCache,
-) -> BatchReport {
     let results = Arc::new(Mutex::new(Vec::with_capacity(corpus.len())));
     let sink = Arc::clone(&results);
-    let stream = solve_many_streaming_with_cache(corpus, rt, cache, move |r: JobResult| {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-        sink.lock().expect("batch result sink").push(r);
-    });
+    let stream =
+        solve_many_streaming_with_cache(corpus, rt, &PrepCache::new(), move |r: JobResult| {
+            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+            sink.lock().expect("batch result sink").push(r);
+        });
     let results = Arc::try_unwrap(results)
         // dapc-allow(panic): the streaming call returned, so the hook (the only other holder) is dropped
         .expect("streaming returned, the hook was dropped")
@@ -181,8 +175,9 @@ pub fn solve_many_with_cache(
     }
 }
 
-/// Streams every job of `corpus` through `on_result` with a fresh
-/// [`PrepCache`], keeping only the online aggregation in memory.
+/// Streams every job of `corpus` through `on_result` against a
+/// caller-owned [`PrepCache`], keeping only the online aggregation in
+/// memory: [`solve_range`] over the whole corpus, finished.
 ///
 /// The hook receives each [`JobResult`] by value exactly once, **in the
 /// corpus's canonical order** (a bounded reorder buffer restores it
@@ -194,13 +189,15 @@ pub fn solve_many_with_cache(
 ///
 /// Every `(key, report)` the hook sees is byte-identical to what
 /// sequential execution produces, at any `jobs`/`prep_workers` setting.
+/// Reusing one cache across calls keeps the memo warm across successive
+/// batches over the same instance families.
 ///
 /// # Examples
 ///
 /// ```
 /// use dapc_graph::gen;
 /// use dapc_ilp::problems;
-/// use dapc_runtime::{solve_many_streaming, Corpus, RuntimeConfig};
+/// use dapc_runtime::{solve_many_streaming_with_cache, Corpus, PrepCache, RuntimeConfig};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 /// use std::sync::Arc;
 ///
@@ -217,7 +214,8 @@ pub fn solve_many_with_cache(
 /// // holding the per-job reports.
 /// let feasible = Arc::new(AtomicUsize::new(0));
 /// let seen = Arc::clone(&feasible);
-/// let stream = solve_many_streaming(&corpus, &RuntimeConfig::new().jobs(4), move |r| {
+/// let rt = RuntimeConfig::new().jobs(4);
+/// let stream = solve_many_streaming_with_cache(&corpus, &rt, &PrepCache::new(), move |r| {
 ///     if r.report.feasible() {
 ///         seen.fetch_add(1, Ordering::Relaxed);
 ///     }
@@ -228,14 +226,6 @@ pub fn solve_many_with_cache(
 /// assert_eq!(stream.groups.len(), 1);
 /// assert!(stream.groups[0].meets_guarantee());
 /// ```
-pub fn solve_many_streaming<F>(corpus: &Corpus, rt: &RuntimeConfig, on_result: F) -> StreamReport
-where
-    F: FnMut(JobResult) + Send + 'static,
-{
-    solve_many_streaming_with_cache(corpus, rt, &PrepCache::new(), on_result)
-}
-
-/// [`solve_many_streaming`] against a caller-owned [`PrepCache`].
 pub fn solve_many_streaming_with_cache<F>(
     corpus: &Corpus,
     rt: &RuntimeConfig,
@@ -245,30 +235,96 @@ pub fn solve_many_streaming_with_cache<F>(
 where
     F: FnMut(JobResult) + Send + 'static,
 {
+    solve_range(corpus, 0..corpus.len(), rt, cache, on_result).finish()
+}
+
+/// Solves the contiguous canonical job range `range` of `corpus` against
+/// `cache`, handing every [`JobResult`] to `on_result` by value exactly
+/// once, in canonical order, and returns the mergeable [`PartReport`] —
+/// the one pipeline every entry point runs through. A whole sweep is the
+/// range `0..corpus.len()`; a static i-of-n split is
+/// [`Corpus::shard_range`]; a crashed worker's remainder is whatever
+/// range the coordinator reassigns.
+///
+/// Every `(key, report)` outcome inside the range is byte-identical to
+/// the same job in the whole sweep, at any `jobs`/`prep_workers`
+/// setting — jobs keep their global keys and key-derived RNG streams.
+/// Reference optima are solved first (the online aggregator folds each
+/// job's ratio as it is delivered) and only for the instances the range
+/// touches; ranges sharing an instance compute the same deterministic
+/// optimum, which the merge verifies. Warm `cache` first (e.g. with
+/// [`PrepCache::load_into`] from an earlier process's
+/// [`PrepCache::save_to`] snapshot) to ship memoised prep work between
+/// cooperating processes.
+///
+/// # Examples
+///
+/// A corpus carved into three uneven ranges — the shape a crashed
+/// worker's reassigned remainder produces — merges back to the
+/// whole-sweep aggregation:
+///
+/// ```
+/// use dapc_graph::gen;
+/// use dapc_ilp::problems;
+/// use dapc_runtime::{solve_many, solve_range, Corpus, PrepCache, RuntimeConfig};
+///
+/// let corpus = Corpus::builder()
+///     .instance(
+///         "MIS/cycle12",
+///         problems::max_independent_set_unweighted(&gen::cycle(12)),
+///     )
+///     .backend("greedy")
+///     .backend("bnb")
+///     .eps(0.3)
+///     .seeds(0..3)
+///     .build();
+/// let rt = RuntimeConfig::new();
+/// let part = |range| solve_range(&corpus, range, &rt, &PrepCache::new(), |_r| {});
+///
+/// // Ranges may merge in any order and any grouping.
+/// let mut merged = part(4..5);
+/// merged.merge(part(0..4));
+/// merged.merge(part(5..corpus.len()));
+/// let stitched = merged.finish();
+///
+/// let single = solve_many(&corpus, &rt);
+/// assert_eq!(stitched.jobs, single.results.len());
+/// for (a, b) in stitched.groups.iter().zip(&single.groups) {
+///     let (mut a, mut b) = (a.clone(), b.clone());
+///     a.micros = 0; // wall-clock columns differ run to run,
+///     b.micros = 0; // everything else is equal bit for bit
+///     assert_eq!(a, b);
+/// }
+/// ```
+///
+/// # Panics
+///
+/// Panics when `range` reaches beyond the corpus.
+pub fn solve_range<F>(
+    corpus: &Corpus,
+    range: Range<usize>,
+    rt: &RuntimeConfig,
+    cache: &PrepCache,
+    on_result: F,
+) -> PartReport
+where
+    F: FnMut(JobResult) + Send + 'static,
+{
     // dapc-allow(wall-clock): wall-time report field; timings are excluded from report identity
     let start = Instant::now();
-    let jobs = corpus.jobs();
-    let n = jobs.len();
-
-    // Reference optima come first: the online aggregator folds each
-    // job's ratio as it is delivered, which needs the cell's optimum up
-    // front. The lookups route through the family cache exactly like job
-    // lookups, so for an unbounded cache the hit/miss totals match the
-    // legacy collect-then-aggregate path (which solved them last) — only
-    // the order of the counter events moves.
+    let jobs = corpus.range_jobs(range.clone());
     let optima = if rt.reference_optima {
-        reference_optima(corpus, None, rt.prep_cache, cache)
+        reference_optima(corpus, corpus.instances_in(&range), rt.prep_cache, cache)
     } else {
         BTreeMap::new()
     };
-    let aggregator = BatchAggregator::with_optima(optima);
+    let aggregator = BatchAggregator::with_optima_at(optima, range.start);
     let (aggregator, pumps, peak_buffered) = stream_jobs(jobs, aggregator, rt, cache, on_result);
-
-    let (groups, backends) = aggregator.finish();
-    StreamReport {
-        jobs: n,
-        groups,
-        backends,
+    PartReport {
+        corpus_jobs: corpus.len(),
+        start: range.start,
+        jobs: range.len(),
+        aggregator,
         cache: cache.stats(),
         workers: pumps,
         peak_buffered,
@@ -276,13 +332,12 @@ where
     }
 }
 
-/// The shared pump pipeline behind [`solve_many_streaming_with_cache`]
-/// and [`crate::solve_shard`]: runs `jobs` (any contiguous slice of a
-/// corpus, in canonical order) through `min(rt.jobs, |jobs|)` pump tasks
+/// The pump pipeline behind [`solve_range`]: runs `jobs` (a contiguous
+/// slice of a corpus, in canonical order) through `min(rt.jobs, |jobs|)` pump tasks
 /// and the reorder buffer, feeding `aggregator` and `on_result` in
 /// order. Returns the fed aggregator, the pump count, and the reorder
 /// buffer's high-water mark.
-pub(crate) fn stream_jobs<F>(
+fn stream_jobs<F>(
     jobs: Vec<Job>,
     aggregator: BatchAggregator,
     rt: &RuntimeConfig,
@@ -370,21 +425,17 @@ where
     finish((aggregator, pumps, peak))
 }
 
-/// Reference optima, one exact solve per instance, routed through the
-/// family cache so a batch that already ran `bnb` gets them for free.
-/// `only` restricts the solves to a subset of instance names (the
-/// instances a shard actually touches); `None` covers the whole corpus.
-pub(crate) fn reference_optima(
+/// Reference optima, one exact solve per instance of `instances`, routed
+/// through the family cache so a batch that already ran `bnb` gets them
+/// for free.
+fn reference_optima(
     corpus: &Corpus,
-    only: Option<&std::collections::BTreeSet<&str>>,
+    instances: &[CorpusInstance],
     use_cache: bool,
     cache: &PrepCache,
 ) -> BTreeMap<String, (u64, bool)> {
     let mut optima = BTreeMap::new();
-    for inst in &corpus.instances {
-        if only.is_some_and(|names| !names.contains(inst.name.as_str())) {
-            continue;
-        }
+    for inst in instances {
         let full = vec![true; inst.ilp.n()];
         let budget = corpus.base.budget;
         let mut solver = if use_cache {

@@ -1,5 +1,5 @@
 //! Primitive readers/writers shared by the runtime's versioned binary
-//! snapshot formats ([`crate::BatchAggregator`], [`crate::ShardReport`],
+//! snapshot formats ([`crate::BatchAggregator`], [`crate::PartReport`],
 //! [`crate::PrepCache`]): little-endian integers, length-prefixed UTF-8
 //! strings, and the magic/version check split so corrupt and
 //! future-versioned streams fail with distinct errors.

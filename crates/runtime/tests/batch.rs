@@ -4,7 +4,31 @@
 use dapc_core::engine::SolveConfig;
 use dapc_graph::gen;
 use dapc_ilp::{problems, IlpInstance};
-use dapc_runtime::{solve_many, solve_many_with_cache, Corpus, PrepCache, RuntimeConfig};
+use dapc_runtime::{
+    solve_many, solve_many_streaming_with_cache, BatchReport, Corpus, PrepCache, RuntimeConfig,
+};
+use std::sync::{Arc, Mutex};
+
+/// `solve_many` against a caller-owned cache: the streaming path with a
+/// hook collecting every result.
+fn collect_with_cache(corpus: &Corpus, rt: &RuntimeConfig, cache: &PrepCache) -> BatchReport {
+    let sink = Arc::new(Mutex::new(Vec::new()));
+    let hook = Arc::clone(&sink);
+    let stream = solve_many_streaming_with_cache(corpus, rt, cache, move |r| {
+        hook.lock().expect("sink").push(r);
+    });
+    BatchReport {
+        results: Arc::try_unwrap(sink)
+            .expect("hook dropped")
+            .into_inner()
+            .expect("sink"),
+        groups: stream.groups,
+        backends: stream.backends,
+        cache: stream.cache,
+        workers: stream.workers,
+        wall: stream.wall,
+    }
+}
 
 /// A mixed packing/covering corpus of `n` small instances.
 fn instances(n: usize) -> Vec<(String, IlpInstance)> {
@@ -112,7 +136,7 @@ fn cache_on_and_off_yield_identical_reports() {
 fn cache_counters_are_monotone_across_batches() {
     let corpus = corpus(2, &["three-phase"], 2);
     let cache = PrepCache::new();
-    let first = solve_many_with_cache(&corpus, &RuntimeConfig::new(), &cache);
+    let first = collect_with_cache(&corpus, &RuntimeConfig::new(), &cache);
     let after_first = cache.stats();
     assert!(
         after_first.misses > 0,
@@ -120,7 +144,7 @@ fn cache_counters_are_monotone_across_batches() {
     );
     assert_eq!(first.cache, after_first);
 
-    let second = solve_many_with_cache(&corpus, &RuntimeConfig::new(), &cache);
+    let second = collect_with_cache(&corpus, &RuntimeConfig::new(), &cache);
     let after_second = cache.stats();
     assert_identical(&first, &second);
     assert!(after_second.hits >= after_first.hits);
@@ -159,7 +183,7 @@ fn bounded_prep_cache_is_report_transparent() {
     let corpus = corpus(5, &["three-phase"], 3);
     let reference = solve_many(&corpus, &RuntimeConfig::new());
     let bounded = PrepCache::with_family_capacity(256);
-    let run = solve_many_with_cache(&corpus, &RuntimeConfig::new().jobs(2), &bounded);
+    let run = collect_with_cache(&corpus, &RuntimeConfig::new().jobs(2), &bounded);
     assert_identical(&reference, &run);
     let stats = bounded.stats();
     assert!(

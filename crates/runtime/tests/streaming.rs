@@ -9,8 +9,8 @@ use dapc_exec::{with_executor, Executor};
 use dapc_graph::gen;
 use dapc_ilp::problems;
 use dapc_runtime::{
-    solve_many, solve_many_streaming, solve_many_streaming_with_cache, solve_many_with_cache,
-    BackendSummary, BatchAggregator, Corpus, GroupSummary, JobResult, PrepCache, RuntimeConfig,
+    solve_many, solve_many_streaming_with_cache, BackendSummary, BatchAggregator, Corpus,
+    GroupSummary, JobResult, PrepCache, RuntimeConfig,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -45,13 +45,14 @@ fn small_corpus(instances: usize, backends: &[&str], seeds: u64) -> Corpus {
     b.build()
 }
 
-fn collect_streaming(
+fn collect_streaming_with_cache(
     corpus: &Corpus,
     rt: &RuntimeConfig,
+    cache: &PrepCache,
 ) -> (Vec<JobResult>, dapc_runtime::StreamReport) {
     let sink: Arc<Mutex<Vec<JobResult>>> = Arc::default();
     let hook_sink = Arc::clone(&sink);
-    let stream = solve_many_streaming(corpus, rt, move |r| {
+    let stream = solve_many_streaming_with_cache(corpus, rt, cache, move |r| {
         hook_sink.lock().expect("sink").push(r);
     });
     let results = Arc::try_unwrap(sink)
@@ -59,6 +60,19 @@ fn collect_streaming(
         .into_inner()
         .expect("sink");
     (results, stream)
+}
+
+fn collect_streaming(
+    corpus: &Corpus,
+    rt: &RuntimeConfig,
+) -> (Vec<JobResult>, dapc_runtime::StreamReport) {
+    collect_streaming_with_cache(corpus, rt, &PrepCache::new())
+}
+
+fn outcomes(
+    results: &[JobResult],
+) -> Vec<(&dapc_runtime::JobKey, &dapc_core::engine::SolveReport)> {
+    results.iter().map(|r| (&r.key, &r.report)).collect()
 }
 
 fn sans_micros_groups(groups: &[GroupSummary]) -> Vec<GroupSummary> {
@@ -204,7 +218,7 @@ fn warm_started_batch_changes_counters_never_reports() {
     let budget = SolveConfig::new().budget;
 
     let cold = PrepCache::new();
-    let first = solve_many_with_cache(&corpus, &RuntimeConfig::new(), &cold);
+    let (first, _) = collect_streaming_with_cache(&corpus, &RuntimeConfig::new(), &cold);
     let cold_stats = cold.stats();
     assert!(cold_stats.misses > 0, "cold batch must solve something");
 
@@ -219,10 +233,10 @@ fn warm_started_batch_changes_counters_never_reports() {
     assert_eq!(loaded, cold_stats.entries, "snapshot holds the whole memo");
     assert_eq!(warm.stats().hits, 0, "loading counts nothing");
 
-    let second = solve_many_with_cache(&corpus, &RuntimeConfig::new(), &warm);
+    let (second, _) = collect_streaming_with_cache(&corpus, &RuntimeConfig::new(), &warm);
     assert_eq!(
-        first.outcomes(),
-        second.outcomes(),
+        outcomes(&first),
+        outcomes(&second),
         "warm start moved a report"
     );
     let warm_stats = warm.stats();
@@ -282,29 +296,9 @@ fn streaming_with_cache_stays_warm_across_batches() {
     let corpus = small_corpus(2, &["three-phase"], 2);
     let cache = PrepCache::new();
     let rt = RuntimeConfig::new().jobs(2);
-    let first = {
-        let sink: Arc<Mutex<Vec<JobResult>>> = Arc::default();
-        let hook = Arc::clone(&sink);
-        solve_many_streaming_with_cache(&corpus, &rt, &cache, move |r| {
-            hook.lock().expect("sink").push(r);
-        });
-        Arc::try_unwrap(sink)
-            .expect("hook dropped")
-            .into_inner()
-            .expect("sink")
-    };
+    let (first, _) = collect_streaming_with_cache(&corpus, &rt, &cache);
     let after_first = cache.stats();
-    let second = {
-        let sink: Arc<Mutex<Vec<JobResult>>> = Arc::default();
-        let hook = Arc::clone(&sink);
-        solve_many_streaming_with_cache(&corpus, &rt, &cache, move |r| {
-            hook.lock().expect("sink").push(r);
-        });
-        Arc::try_unwrap(sink)
-            .expect("hook dropped")
-            .into_inner()
-            .expect("sink")
-    };
+    let (second, _) = collect_streaming_with_cache(&corpus, &rt, &cache);
     let after_second = cache.stats();
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.key, b.key);

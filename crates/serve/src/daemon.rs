@@ -36,7 +36,7 @@
 use crate::proto::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 use crate::spec::CorpusSpec;
 use dapc_local::RoundCost;
-use dapc_runtime::{solve_range_streaming_with_cache, JobResult, PrepCache, RuntimeConfig};
+use dapc_runtime::{solve_range, JobResult, PrepCache, RuntimeConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -539,36 +539,30 @@ fn stream_solve(
     let next_index = Arc::new(AtomicU64::new(range.start as u64));
     let hook_sink = Arc::clone(&sink);
     let hook_failed = Arc::clone(&failed);
-    let part = solve_range_streaming_with_cache(
-        &corpus,
-        range,
-        &rt,
-        &shared.cache,
-        move |r: JobResult| {
-            // Results arrive in canonical order, so a counter
-            // recovers each job's global index.
-            // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
-            let index = next_index.fetch_add(1, Ordering::SeqCst);
-            let frame = Response::Job {
-                index,
-                key: r.key.to_string(),
-                value: r.report.value,
-                feasible: r.report.feasible(),
-                rounds: r.report.rounds() as u64,
-                micros: r.micros,
-            }
-            .to_bytes();
+    let part = solve_range(&corpus, range, &rt, &shared.cache, move |r: JobResult| {
+        // Results arrive in canonical order, so a counter
+        // recovers each job's global index.
+        // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
+        let index = next_index.fetch_add(1, Ordering::SeqCst);
+        let frame = Response::Job {
+            index,
+            key: r.key.to_string(),
+            value: r.report.value,
+            feasible: r.report.feasible(),
+            rounds: r.report.rounds() as u64,
+            micros: r.micros,
+        }
+        .to_bytes();
+        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        let mut failed = hook_failed.lock().expect("daemon sink failure flag");
+        if failed.is_none() {
             // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-            let mut failed = hook_failed.lock().expect("daemon sink failure flag");
-            if failed.is_none() {
-                // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-                let mut sink = hook_sink.lock().expect("daemon sink");
-                if let Err(e) = write_frame(&mut *sink, &frame) {
-                    *failed = Some(e);
-                }
+            let mut sink = hook_sink.lock().expect("daemon sink");
+            if let Err(e) = write_frame(&mut *sink, &frame) {
+                *failed = Some(e);
             }
-        },
-    );
+        }
+    });
     shared
         .jobs_solved
         // ordering: SeqCst — daemon control plane; total order over throughput off the hot path

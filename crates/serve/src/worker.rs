@@ -11,7 +11,7 @@
 //! therefore forfeits at most one unit of work.
 
 use crate::checkpoint::{self, SweepManifest};
-use dapc_runtime::{snap, solve_range_streaming_with_cache, PrepCache, RuntimeConfig, ShardReport};
+use dapc_runtime::{snap, solve_range, PrepCache, RuntimeConfig};
 use std::fs;
 use std::io;
 use std::ops::Range;
@@ -24,10 +24,10 @@ use std::sync::Arc;
 pub struct WorkerOptions {
     /// Intra-process job parallelism (`RuntimeConfig::jobs`).
     pub jobs: usize,
-    /// Warm the prep cache from a [`ShardReport`] snapshot file before
-    /// solving. A corrupt snapshot is a hard error — the all-or-nothing
-    /// loader surfaces it to the caller instead of silently solving
-    /// cold.
+    /// Warm the prep cache from a [`PrepCache::save_to`] snapshot file
+    /// (loaded with [`PrepCache::load_into`]) before solving. A corrupt
+    /// snapshot is a hard error — the all-or-nothing loader surfaces it
+    /// to the caller instead of silently solving cold.
     pub warm: Option<PathBuf>,
     /// Fault injection: `process::abort()` after this many jobs have
     /// been solved (counted across units). Exercises the coordinator's
@@ -81,8 +81,7 @@ pub fn run_worker(
     let cache = PrepCache::new();
     let mut summary = WorkerSummary::default();
     if let Some(warm) = &opts.warm {
-        let report = ShardReport::load_from(io::BufReader::new(fs::File::open(warm)?))?;
-        summary.warmed_entries = report.warm_start(&cache)?;
+        summary.warmed_entries = cache.load_into(io::BufReader::new(fs::File::open(warm)?))?;
     }
     let rt = RuntimeConfig::new().jobs(opts.jobs.max(1));
     let solved = Arc::new(AtomicUsize::new(0));
@@ -101,17 +100,16 @@ pub fn run_worker(
         }
         let solved = Arc::clone(&solved);
         let fuse = opts.self_destruct_after;
-        let part =
-            solve_range_streaming_with_cache(&corpus, unit.clone(), &rt, &cache, move |_r| {
-                // ordering: SeqCst — the chaos crash fuse must observe an exact solve count
-                let count = solved.fetch_add(1, Ordering::SeqCst) + 1;
-                if fuse.is_some_and(|k| count >= k) {
-                    // The injected crash: no unwinding, no cleanup — the
-                    // in-progress unit's part file is never written, exactly
-                    // like a SIGKILL mid-solve.
-                    std::process::abort();
-                }
-            });
+        let part = solve_range(&corpus, unit.clone(), &rt, &cache, move |_r| {
+            // ordering: SeqCst — the chaos crash fuse must observe an exact solve count
+            let count = solved.fetch_add(1, Ordering::SeqCst) + 1;
+            if fuse.is_some_and(|k| count >= k) {
+                // The injected crash: no unwinding, no cleanup — the
+                // in-progress unit's part file is never written, exactly
+                // like a SIGKILL mid-solve.
+                std::process::abort();
+            }
+        });
         checkpoint::write_part(dir, &part)?;
         summary.solved_units += 1;
         summary.solved_jobs += unit.len();

@@ -2,12 +2,15 @@
 //! byte-identical to the single-process run at any worker count, under
 //! injected worker kills, and across checkpoint/resume boundaries; a
 //! corrupt warm-start snapshot surfaces as [`exit::EXIT_BAD_SNAPSHOT`]
-//! end-to-end; and a sweep directory refuses a different sweep.
+//! end-to-end while a real `PrepCache` snapshot warms a worker without
+//! moving a result; and a sweep directory refuses a different sweep.
 //!
 //! Workers here are the real `dapc-serve worker` subcommand, spawned as
 //! separate processes via `CARGO_BIN_EXE_dapc-serve`.
 
-use dapc_runtime::{solve_many, BackendSummary, GroupSummary, RuntimeConfig, StreamReport};
+use dapc_runtime::{
+    solve_many, solve_range, BackendSummary, GroupSummary, PrepCache, RuntimeConfig, StreamReport,
+};
 use dapc_serve::{
     exit, orchestrate_sweep, run_worker, scan_parts, uncovered, CorpusSpec, SweepConfig,
     SweepManifest, WorkerOptions,
@@ -277,7 +280,13 @@ fn a_corrupt_warm_snapshot_exits_with_bad_snapshot() {
     let spec = demo_spec();
     SweepManifest::new(spec.clone(), 2).store(&dir).unwrap();
     let warm = dir.join("warm.bin");
-    std::fs::write(&warm, b"DAPCSHD\x01 definitely not a shard snapshot").unwrap();
+    // A valid prep-cache magic in front of garbage: the loader gets past
+    // the header and must still reject the body.
+    let mut bytes = Vec::new();
+    PrepCache::new().save_to(&mut bytes).unwrap();
+    bytes.truncate(8);
+    bytes.extend_from_slice(b" definitely not a prep snapshot");
+    std::fs::write(&warm, bytes).unwrap();
 
     // The library path surfaces the loader error …
     let err = run_worker(
@@ -309,6 +318,75 @@ fn a_corrupt_warm_snapshot_exits_with_bad_snapshot() {
     let scan = scan_parts(&dir, spec.grid_len()).unwrap();
     assert_eq!(scan.jobs_done, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The positive `--warm` path: a worker seeded from a real
+/// `PrepCache::save_to` snapshot absorbs its entries, earns hits instead
+/// of exact solves, and checkpoints the same parts a cold worker writes.
+/// Part bytes also carry wall-clock micros and cache counters, which a
+/// warm start moves by design, so the parts are compared on everything
+/// else: coverage, header and the finished aggregation.
+#[test]
+fn a_warm_snapshot_seeds_the_worker_without_moving_a_result() {
+    let base = scratch("warm-ok");
+    let spec = demo_spec();
+    let corpus = spec.build();
+    let cache = PrepCache::new();
+    let _ = solve_range(
+        &corpus,
+        0..corpus.len(),
+        &RuntimeConfig::new(),
+        &cache,
+        |_r| {},
+    );
+    let warm = base.join("prep.bin");
+    let mut snapshot = Vec::new();
+    cache.save_to(&mut snapshot).unwrap();
+    std::fs::write(&warm, snapshot).unwrap();
+
+    let run = |tag: &str, warm: Option<PathBuf>| {
+        let dir = base.join(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        SweepManifest::new(spec.clone(), 2).store(&dir).unwrap();
+        let opts = WorkerOptions {
+            warm,
+            ..WorkerOptions::default()
+        };
+        let summary = run_worker(&dir, 0..spec.grid_len(), &opts).expect("worker run");
+        (scan_parts(&dir, spec.grid_len()).unwrap(), summary)
+    };
+    let (cold, cold_summary) = run("cold", None);
+    let (warmed, warm_summary) = run("warm", Some(warm));
+    assert_eq!(cold_summary.warmed_entries, 0);
+    assert_eq!(warm_summary.warmed_entries, cache.stats().entries);
+    assert!(
+        warm_summary.warmed_entries > 0,
+        "the snapshot was not empty"
+    );
+    assert_eq!(warm_summary.solved_jobs, cold_summary.solved_jobs);
+
+    let misses = |scan: &dapc_serve::Scan| scan.parts.iter().map(|p| p.cache.misses).sum::<u64>();
+    assert!(
+        misses(&warmed) < misses(&cold),
+        "a warm worker must skip exact solves"
+    );
+    assert_eq!(warmed.covered, vec![0..spec.grid_len()]);
+    assert_eq!(warmed.parts.len(), cold.parts.len());
+    for (w, c) in warmed.parts.into_iter().zip(cold.parts) {
+        assert_eq!(w.covered(), c.covered());
+        assert_eq!(
+            (w.corpus_jobs, w.start, w.jobs),
+            (c.corpus_jobs, c.start, c.jobs)
+        );
+        let (w_groups, w_backends) = w.aggregator.finish();
+        let (c_groups, c_backends) = c.aggregator.finish();
+        assert_eq!(sans_micros_groups(&w_groups), sans_micros_groups(&c_groups));
+        assert_eq!(
+            sans_micros_backends(&w_backends),
+            sans_micros_backends(&c_backends)
+        );
+    }
+    std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Multi-process sharding of one corpus, demonstrated in one process:
-//! split a sweep into N shards, solve each independently (in real use:
-//! one process per shard, on different machines), ship the compact
-//! `ShardReport` snapshots as bytes, warm-start later shards from
-//! earlier ones' prep caches, and merge — the merged aggregation is
-//! identical to the single-process run, timings aside.
+//! split a sweep into N job ranges (`Corpus::shard_range`), solve each
+//! independently with `solve_range` (in real use: one process per shard,
+//! on different machines), ship the compact `PartReport` snapshots as
+//! bytes, warm-start later shards from earlier ones' prep caches
+//! (`PrepCache::save_to` / `load_into`), and merge — the merged
+//! aggregation is identical to the single-process run, timings aside.
 //!
 //! Run with `cargo run --release --example shard_merge [shards]`.
 
@@ -35,33 +36,42 @@ fn main() {
     // The reference run: one process owns the whole sweep.
     let single = solve_many(&corpus, &rt);
 
-    // Each shard solves its contiguous slice and serialises its report.
-    // A later shard warm-starts from the previous one's bundled prep
-    // snapshot — shipping memoised exact subset solves, never results.
+    // Each shard solves its contiguous range and serialises its part.
+    // A later shard warm-starts from the previous one's prep snapshot —
+    // shipping memoised exact subset solves, never results.
     let mut shipped: Vec<Vec<u8>> = Vec::new();
-    let mut previous: Option<ShardReport> = None;
+    let mut prep: Vec<u8> = Vec::new();
     for shard in 0..shards {
         let cache = PrepCache::new();
-        let warmed = match &previous {
-            Some(p) => p.warm_start(&cache).expect("snapshot from this process"),
-            None => 0,
+        let warmed = if prep.is_empty() {
+            0
+        } else {
+            cache
+                .load_into(prep.as_slice())
+                .expect("snapshot from this process")
         };
-        let report = solve_shard_with_cache(&corpus, shard, shards, &rt, &cache).with_prep(&cache);
+        let range = corpus.shard_range(shard, shards);
+        let part = solve_range(&corpus, range, &rt, &cache, |_r| {});
         println!(
             "shard {shard}/{shards}: {} jobs in {:?} ({} warm-start entries in, {} misses)",
-            report.jobs, report.wall, warmed, report.cache.misses,
+            part.jobs, part.wall, warmed, part.cache.misses,
         );
         let mut bytes = Vec::new();
-        report.save_to(&mut bytes).expect("write to a Vec");
-        println!("  snapshot: {} bytes", bytes.len());
+        part.save_to(&mut bytes).expect("write to a Vec");
+        prep.clear();
+        cache.save_to(&mut prep).expect("write to a Vec");
+        println!(
+            "  part snapshot: {} bytes, prep snapshot: {} bytes",
+            bytes.len(),
+            prep.len()
+        );
         shipped.push(bytes);
-        previous = Some(report);
     }
 
-    // The merging process: load every snapshot, merge, finish.
+    // The merging process: load every part, merge, finish.
     let mut reports = shipped
         .iter()
-        .map(|bytes| ShardReport::load_from(bytes.as_slice()).expect("round trip"));
+        .map(|bytes| PartReport::load_from(bytes.as_slice()).expect("round trip"));
     let mut merged = reports.next().expect("at least one shard");
     for report in reports {
         merged.merge(report);
