@@ -1,7 +1,7 @@
 //! Wall-clock benches for the graph and simulator substrates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dapc_graph::{gen, girth, lps, power, traversal, Hypergraph};
+use dapc_graph::{gen, girth, lps, power, traversal, DiameterScratch, Hypergraph, Vertex};
 use dapc_local::gather::gather_views;
 
 fn bench_generators(c: &mut Criterion) {
@@ -24,6 +24,22 @@ fn bench_traversal(c: &mut Criterion) {
     });
     c.bench_function("traversal/ball_r5", |b| {
         b.iter(|| traversal::ball(&g, &[0], 5, None))
+    });
+    // Exact weak diameter on the costliest LDD-validation shape (a
+    // cluster spanning a whole 4-regular expander) and on a typical grid
+    // cluster (the radius-8 diamond in the middle of a 32×32 grid).
+    let mut scratch = DiameterScratch::new();
+    let rr = gen::random_regular(1024, 4, &mut gen::seeded_rng(4));
+    let whole: Vec<Vertex> = rr.vertices().collect();
+    c.bench_function("traversal/weak_diameter_rr1024_whole", |b| {
+        b.iter(|| traversal::weak_diameter_with_scratch(&rr, &whole, &mut scratch))
+    });
+    let grid = gen::grid(32, 32);
+    let diamond: Vec<Vertex> = traversal::ball(&grid, &[16 * 32 + 16], 8, None)
+        .iter()
+        .collect();
+    c.bench_function("traversal/weak_diameter_grid32_r8", |b| {
+        b.iter(|| traversal::weak_diameter_with_scratch(&grid, &diamond, &mut scratch))
     });
 }
 

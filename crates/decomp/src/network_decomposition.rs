@@ -9,7 +9,7 @@
 //! probability `1 − 1/poly(n)` — the classical [LS93] bounds.
 
 use crate::elkin_neiman::{elkin_neiman, EnParams};
-use dapc_graph::{traversal, Graph, Vertex};
+use dapc_graph::{traversal, DiameterScratch, Graph, Vertex};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
 
@@ -55,9 +55,13 @@ impl NetworkDecomposition {
 
     /// Maximum weak diameter over clusters.
     pub fn max_weak_diameter(&self, g: &Graph) -> u32 {
+        let mut scratch = DiameterScratch::new();
         self.clusters
             .iter()
-            .map(|(_, c)| traversal::weak_diameter(g, c).expect("clusters connected"))
+            .map(|(_, c)| {
+                traversal::weak_diameter_with_scratch(g, c, &mut scratch)
+                    .expect("clusters connected")
+            })
             .max()
             .unwrap_or(0)
     }

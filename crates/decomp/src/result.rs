@@ -1,6 +1,6 @@
 //! The common output type of all low-diameter decompositions.
 
-use dapc_graph::{traversal, Graph, Vertex};
+use dapc_graph::{traversal, DiameterScratch, Graph, Vertex};
 use dapc_local::{RoundCost, RoundLedger};
 
 /// A low-diameter decomposition (Definition 1.4): a partition of the alive
@@ -100,9 +100,13 @@ impl Decomposition {
     /// Panics if some cluster is disconnected in `g` (weak diameter is then
     /// undefined — decompositions never produce such clusters).
     pub fn max_weak_diameter(&self, g: &Graph) -> u32 {
+        let mut scratch = DiameterScratch::new();
         self.clusters
             .iter()
-            .map(|c| traversal::weak_diameter(g, c).expect("cluster must be connected in G"))
+            .map(|c| {
+                traversal::weak_diameter_with_scratch(g, c, &mut scratch)
+                    .expect("cluster must be connected in G")
+            })
             .max()
             .unwrap_or(0)
     }

@@ -20,7 +20,7 @@
 use crate::elkin_neiman::{elkin_neiman, EnParams};
 use crate::result::Decomposition;
 use dapc_conc::dist::bernoulli;
-use dapc_graph::{traversal, Graph, Vertex};
+use dapc_graph::{traversal, DiameterScratch, Graph, Vertex};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
 
@@ -487,6 +487,7 @@ pub fn improve_diameter(
     let mut labels: Vec<Option<Vertex>> = vec![None; n];
     let mut ledger = outcome.decomposition.ledger.clone();
     let mut max_old_diameter = 0usize;
+    let mut scratch = DiameterScratch::new();
     for cluster in &outcome.decomposition.clusters {
         let mask = {
             let mut m = vec![false; n];
@@ -495,8 +496,9 @@ pub fn improve_diameter(
             }
             m
         };
-        max_old_diameter =
-            max_old_diameter.max(traversal::weak_diameter(g, cluster).unwrap_or(0) as usize);
+        max_old_diameter = max_old_diameter.max(
+            traversal::weak_diameter_with_scratch(g, cluster, &mut scratch).unwrap_or(0) as usize,
+        );
         // Retry until the deleted fraction is within budget (Markov: each
         // attempt succeeds with probability ≥ 1/2; cap attempts for
         // robustness and keep the best).

@@ -571,7 +571,10 @@ fn scope_on<T>(shared: &Arc<Shared>, f: impl FnOnce(&Scope<'_>) -> T) -> T {
 /// (most recent first, the depth-first order) and returns `true`.
 /// Returns `false`, at the cost of one thread-local probe, on non-worker
 /// threads, when the worker's own deque is empty, or when yields are
-/// already nested [`MAX_YIELD_DEPTH`] deep. The injector and other
+/// already nested [`MAX_YIELD_DEPTH`] deep. The contract covers tasks
+/// running on pool workers only: a task that a scope owner help-runs
+/// inline runs on the owner's thread, which has no deque of its own, so
+/// its yields return `false`. The injector and other
 /// workers' deques are deliberately *not* drawn from: a yield must stay
 /// a small detour through the worker's own backlog, never adopt a whole
 /// new coarse job mid-solve.
@@ -788,42 +791,51 @@ mod tests {
         assert_eq!(sum.load(Ordering::Relaxed), 27);
     }
 
-    #[test]
-    fn owner_helps_while_workers_are_blocked() {
-        // Block the only worker, then prove an unrelated scope still
-        // completes: the run-inline fallback in action.
-        let exec = Executor::new(1);
+    /// Runs `f` while a blocker task pins `exec`'s only worker, so every
+    /// scope `f` opens on `exec` is help-run inline by its owner. The
+    /// worker is released when `f` returns or panics.
+    fn with_blocked_worker<T>(exec: &Executor, f: impl FnOnce() -> T) -> T {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let entered = Arc::new((Mutex::new(false), Condvar::new()));
+        let entered = Arc::new(AtomicBool::new(false));
         std::thread::scope(|threads| {
-            let blocker_gate = Arc::clone(&gate);
-            let blocker_entered = Arc::clone(&entered);
-            let exec_ref = &exec;
+            let (gate_rx, entered_tx) = (Arc::clone(&gate), Arc::clone(&entered));
             threads.spawn(move || {
-                exec_ref.scope(|s| {
+                exec.scope(|s| {
+                    let flag = Arc::clone(&entered_tx);
                     s.spawn(move || {
-                        {
-                            let (lock, cv) = &*blocker_entered;
-                            *lock.lock().unwrap() = true;
-                            cv.notify_all();
-                        }
-                        let (lock, cv) = &*blocker_gate;
+                        flag.store(true, Ordering::SeqCst);
+                        let (lock, cv) = &*gate_rx;
                         let mut open = lock.lock().unwrap();
                         while !*open {
                             open = cv.wait(open).unwrap();
                         }
                     });
+                    // The owner help-runs only after the body returns:
+                    // holding the body open until the blocker started
+                    // pins it to the worker.
+                    while !entered_tx.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
                 });
             });
-            {
-                // Wait until the worker is provably inside the blocker.
-                let (lock, cv) = &*entered;
-                let mut seen = lock.lock().unwrap();
-                while !*seen {
-                    seen = cv.wait(seen).unwrap();
-                }
+            while !entered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
             }
-            let counter = Arc::new(AtomicUsize::new(0));
+            let out = catch_unwind(AssertUnwindSafe(f));
+            let (lock, cv) = &*gate;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+            out.unwrap_or_else(|payload| resume_unwind(payload))
+        })
+    }
+
+    #[test]
+    fn owner_helps_while_workers_are_blocked() {
+        // Block the only worker, then prove an unrelated scope still
+        // completes: the run-inline fallback in action.
+        let exec = Executor::new(1);
+        let counter = Arc::new(AtomicUsize::new(0));
+        with_blocked_worker(&exec, || {
             exec.scope(|s| {
                 for _ in 0..5 {
                     let counter = Arc::clone(&counter);
@@ -832,11 +844,8 @@ mod tests {
                     });
                 }
             });
-            assert_eq!(counter.load(Ordering::Relaxed), 5);
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
         });
+        assert_eq!(counter.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -848,37 +857,9 @@ mod tests {
         // wins wherever the task happens to execute.
         let a = Executor::new(3);
         let b = Executor::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let entered = Arc::new((Mutex::new(false), Condvar::new()));
-        std::thread::scope(|threads| {
-            let blocker_gate = Arc::clone(&gate);
-            let blocker_entered = Arc::clone(&entered);
-            let b_ref = &b;
-            threads.spawn(move || {
-                b_ref.scope(|s| {
-                    s.spawn(move || {
-                        {
-                            let (lock, cv) = &*blocker_entered;
-                            *lock.lock().unwrap() = true;
-                            cv.notify_all();
-                        }
-                        let (lock, cv) = &*blocker_gate;
-                        let mut open = lock.lock().unwrap();
-                        while !*open {
-                            open = cv.wait(open).unwrap();
-                        }
-                    });
-                });
-            });
-            {
-                let (lock, cv) = &*entered;
-                let mut seen = lock.lock().unwrap();
-                while !*seen {
-                    seen = cv.wait(seen).unwrap();
-                }
-            }
-            let observed = Arc::new(AtomicUsize::new(0));
-            let report = Arc::clone(&observed);
+        let observed = Arc::new(AtomicUsize::new(0));
+        let report = Arc::clone(&observed);
+        with_blocked_worker(&b, || {
             with_executor(&a, || {
                 b.scope(|s| {
                     s.spawn(move || {
@@ -886,15 +867,12 @@ mod tests {
                     });
                 });
             });
-            assert_eq!(
-                observed.load(Ordering::Relaxed),
-                1,
-                "the inline-helped task resolved to the override pool"
-            );
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
         });
+        assert_eq!(
+            observed.load(Ordering::Relaxed),
+            1,
+            "the inline-helped task resolved to the override pool"
+        );
     }
 
     #[test]
@@ -1001,8 +979,11 @@ mod tests {
         let exec = Executor::new(1);
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
         let outer = Arc::clone(&log);
+        let started = Arc::new(AtomicBool::new(false));
+        let started_tx = Arc::clone(&started);
         exec.scope(|s| {
             s.spawn(move || {
+                started_tx.store(true, Ordering::SeqCst);
                 let body_log = Arc::clone(&outer);
                 scope(|inner| {
                     let sibling = Arc::clone(&body_log);
@@ -1014,8 +995,38 @@ mod tests {
                     assert!(!yield_once(), "nothing left to yield to");
                 });
             });
+            // Hold the body open until the worker has claimed the task:
+            // the owner help-runs only after the body returns, so the
+            // task cannot land on this (non-worker) thread instead.
+            while !started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
         });
         assert_eq!(*log.lock().unwrap(), vec!["sibling", "after-yield"]);
+    }
+
+    #[test]
+    fn yield_once_is_a_noop_in_a_task_the_owner_help_runs() {
+        // With the only worker blocked the owner runs the task inline on
+        // its own thread: outside the contract, so the yield returns
+        // false and the sibling waits for the inner scope's own help.
+        let exec = Executor::new(1);
+        let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
+        let outer = Arc::clone(&log);
+        with_blocked_worker(&exec, || {
+            exec.scope(|s| {
+                s.spawn(move || {
+                    let body_log = Arc::clone(&outer);
+                    scope(|inner| {
+                        let sibling = Arc::clone(&body_log);
+                        inner.spawn(move || sibling.lock().unwrap().push("sibling"));
+                        assert!(!yield_once(), "an inline-helped task must not yield");
+                        body_log.lock().unwrap().push("after-yield");
+                    });
+                });
+            });
+        });
+        assert_eq!(*log.lock().unwrap(), vec!["after-yield", "sibling"]);
     }
 
     #[test]

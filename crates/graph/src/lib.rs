@@ -52,4 +52,4 @@ pub mod traversal;
 pub use builder::GraphBuilder;
 pub use graph::{Graph, Vertex};
 pub use hypergraph::{EdgeId, Hypergraph};
-pub use traversal::{Ball, BallScratch};
+pub use traversal::{Ball, BallScratch, DiameterScratch};

@@ -6,6 +6,22 @@
 //! primitives, in both plain and *masked* (residual-graph) form — the
 //! three-phase algorithms repeatedly delete and remove vertices, and all
 //! subsequent distance computations must respect the residual graph.
+//!
+//! It also measures what the decompositions promise. [`weak_diameter`]
+//! (Definition 1.4) is a bit-parallel multi-source BFS in the shape of
+//! Then et al., "The More the Merrier: Efficient Multi-Source Graph
+//! Traversal" (VLDB 2014): the distinct members of the set are swept in
+//! batches of 64, one bit per source in a `u64` word per vertex.
+//!
+//! Cost model: ⌈|S|/64⌉ sweeps. A sweep runs as many levels as the
+//! eccentricity of its sources within the set (the largest distance from
+//! one of them to a member, at most the weak diameter) and stops there,
+//! once every member holds every source's bit; only a disconnected set
+//! runs on until the frontier dies out. A level walks the adjacency of a
+//! sparse frontier list — the vertices that gained a bit at the level
+//! before — so a sweep costs `Σ_v deg(v) · L_v` word operations, `L_v`
+//! being the number of levels at which `v` gains a bit. The per-member
+//! method it replaces ran |S| full-graph BFS, `O(|S| · (n + m))`.
 
 use crate::graph::{Graph, Vertex};
 use std::collections::VecDeque;
@@ -76,7 +92,7 @@ pub fn bfs_distances_multi(g: &Graph, sources: &[Vertex]) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.n()];
     let mut queue = VecDeque::new();
     for &s in sources {
-        if dist[s as usize] != 0 || !queue.contains(&s) {
+        if dist[s as usize] == UNREACHABLE {
             dist[s as usize] = 0;
             queue.push_back(s);
         }
@@ -248,22 +264,167 @@ pub fn diameter(g: &Graph) -> u32 {
     g.vertices().map(|v| eccentricity(g, v)).max().unwrap_or(0)
 }
 
-/// Weak diameter of a vertex subset: `max_{u,v ∈ S} dist_G(u, v)` where the
-/// distance is measured in the *whole* graph `g` (Definition 1.4 of the
-/// paper). Returns `None` if some pair of `S` is disconnected in `g`.
-pub fn weak_diameter(g: &Graph, s: &[Vertex]) -> Option<u32> {
-    let mut best = 0u32;
-    for &u in s {
-        let dist = bfs_distances(g, u);
-        for &v in s {
-            let d = dist[v as usize];
-            if d == UNREACHABLE {
-                return None;
-            }
-            best = best.max(d);
+/// Reusable buffers for [`weak_diameter_with_scratch`]: the per-vertex
+/// bit-parallel BFS words, membership marks and the sparse lists that
+/// walk them, about 25 bytes per vertex.
+///
+/// Like [`BallScratch`] it grows once to the largest graph it meets and
+/// is *self-cleaning*: every call, the disconnected early exit included,
+/// restores the all-zero state in time proportional to the vertices it
+/// touched, so one scratch serves any sequence of sets on graphs of any
+/// size.
+#[derive(Debug, Default)]
+pub struct DiameterScratch {
+    /// Bit `i`: the batch's `i`-th source has reached the vertex.
+    seen: Vec<u64>,
+    /// Bits that reached the vertex at the current level.
+    frontier: Vec<u64>,
+    /// Bits reaching the vertex at the next level.
+    next: Vec<u64>,
+    /// Whether the vertex belongs to the measured set.
+    member: Vec<bool>,
+    /// The distinct members, in order of first appearance.
+    members: Vec<Vertex>,
+    /// Vertices with a nonzero `frontier` word.
+    frontier_list: Vec<Vertex>,
+    /// Vertices with a nonzero `next` word.
+    next_list: Vec<Vertex>,
+    /// Vertices with a nonzero `seen` word.
+    touched: Vec<Vertex>,
+}
+
+impl DiameterScratch {
+    /// Creates an empty scratch; its storage grows on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Grows the per-vertex words and marks to cover `n` vertices.
+    fn ensure_vertices(&mut self, n: usize) {
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.frontier.resize(n, 0);
+            self.next.resize(n, 0);
+            self.member.resize(n, false);
         }
     }
-    Some(best)
+
+    /// One bit-parallel BFS from `self.members[batch]` (at most 64
+    /// sources). Returns the largest distance from a source to a member,
+    /// or `None` if the frontier dies out before every member has been
+    /// reached from every source. Leaves the words it set zeroed.
+    fn sweep(&mut self, g: &Graph, batch: std::ops::Range<usize>) -> Option<u32> {
+        let full = u64::MAX >> (64 - batch.len());
+        let mut complete = 0;
+        for (i, &v) in self.members[batch].iter().enumerate() {
+            let bit = 1u64 << i;
+            self.seen[v as usize] = bit;
+            self.frontier[v as usize] = bit;
+            self.touched.push(v);
+            self.frontier_list.push(v);
+            // A lone source already holds the batch's only bit.
+            if bit == full {
+                complete += 1;
+            }
+        }
+        let (mut level, mut last_gain) = (0u32, 0u32);
+        let result = loop {
+            if complete == self.members.len() {
+                break Some(last_gain);
+            }
+            if self.frontier_list.is_empty() {
+                break None;
+            }
+            level += 1;
+            for &u in &self.frontier_list {
+                let bits = std::mem::take(&mut self.frontier[u as usize]);
+                for &w in g.neighbors(u) {
+                    let w = w as usize;
+                    let new = bits & !self.seen[w];
+                    if new == 0 {
+                        continue;
+                    }
+                    if self.seen[w] == 0 {
+                        self.touched.push(w as Vertex);
+                    }
+                    self.seen[w] |= new;
+                    if self.next[w] == 0 {
+                        self.next_list.push(w as Vertex);
+                    }
+                    self.next[w] |= new;
+                    if self.member[w] {
+                        last_gain = level;
+                        if self.seen[w] == full {
+                            complete += 1;
+                        }
+                    }
+                }
+            }
+            // Every walked frontier word was taken, so the old frontier
+            // array is all-zero and becomes the next level's accumulator.
+            self.frontier_list.clear();
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            std::mem::swap(&mut self.frontier_list, &mut self.next_list);
+        };
+        for &v in &self.frontier_list {
+            self.frontier[v as usize] = 0;
+        }
+        self.frontier_list.clear();
+        for &v in &self.touched {
+            self.seen[v as usize] = 0;
+        }
+        self.touched.clear();
+        result
+    }
+}
+
+/// Weak diameter of a vertex subset: `max_{u,v ∈ S} dist_G(u, v)` where the
+/// distance is measured in the *whole* graph `g` (Definition 1.4 of the
+/// paper). Returns `None` if some pair of `S` is disconnected in `g`;
+/// duplicates in `s` are ignored and the empty set has diameter `0`.
+///
+/// Exact, by bit-parallel multi-source BFS: the distinct members are
+/// taken in batches of 64 sources, and a batch's sweep stops at the level
+/// where every member holds every source's bit — the answer is the last
+/// level at which any member gained one. That is ⌈|S|/64⌉ sweeps, each
+/// at most the set's eccentricity in levels (see the
+/// [module docs](self) for the full cost model), instead of one
+/// full-graph BFS per member. Allocates a fresh [`DiameterScratch`]; use
+/// [`weak_diameter_with_scratch`] to measure many sets.
+///
+/// ```
+/// use dapc_graph::{gen, traversal};
+/// let g = gen::cycle(6);
+/// assert_eq!(traversal::weak_diameter(&g, &[0, 2, 3]), Some(3));
+/// ```
+pub fn weak_diameter(g: &Graph, s: &[Vertex]) -> Option<u32> {
+    weak_diameter_with_scratch(g, s, &mut DiameterScratch::new())
+}
+
+/// [`weak_diameter`] against a caller-owned [`DiameterScratch`], so
+/// measuring every cluster of a decomposition allocates once. Output is
+/// identical to [`weak_diameter`].
+pub fn weak_diameter_with_scratch(
+    g: &Graph,
+    s: &[Vertex],
+    scratch: &mut DiameterScratch,
+) -> Option<u32> {
+    scratch.ensure_vertices(g.n());
+    for &v in s {
+        if !scratch.member[v as usize] {
+            scratch.member[v as usize] = true;
+            scratch.members.push(v);
+        }
+    }
+    let len = scratch.members.len();
+    let diameter = (0..len).step_by(64).try_fold(0, |best, start| {
+        Some(best.max(scratch.sweep(g, start..len.min(start + 64))?))
+    });
+    for &v in &scratch.members {
+        scratch.member[v as usize] = false;
+    }
+    scratch.members.clear();
+    diameter
 }
 
 /// Strong diameter of a vertex subset: the diameter of the induced subgraph
@@ -301,6 +462,23 @@ mod tests {
     use super::*;
     use crate::gen;
 
+    /// The per-member weak diameter [`weak_diameter`] replaced: one
+    /// full-graph BFS per listed vertex. Kept as the test oracle.
+    fn weak_diameter_oracle(g: &Graph, s: &[Vertex]) -> Option<u32> {
+        let mut best = 0u32;
+        for &u in s {
+            let dist = bfs_distances(g, u);
+            for &v in s {
+                let d = dist[v as usize];
+                if d == UNREACHABLE {
+                    return None;
+                }
+                best = best.max(d);
+            }
+        }
+        Some(best)
+    }
+
     #[test]
     fn single_source_distances_on_path() {
         let g = gen::path(5);
@@ -313,6 +491,14 @@ mod tests {
         let g = gen::path(5);
         let d = bfs_distances_multi(&g, &[0, 4]);
         assert_eq!(d, vec![0, 1, 2, 1, 0]);
+    }
+
+    #[test]
+    fn multi_source_ignores_duplicated_sources() {
+        let g = gen::path(6);
+        let d = bfs_distances_multi(&g, &[5, 1, 5, 1, 1]);
+        assert_eq!(d, vec![1, 0, 1, 2, 1, 0]);
+        assert_eq!(d, bfs_distances_multi(&g, &[5, 1]));
     }
 
     #[test]
@@ -378,6 +564,62 @@ mod tests {
         assert_eq!(strong_diameter(&g, &[0, 2]), None);
         // S = {0, 1, 2}: path inside the cycle.
         assert_eq!(strong_diameter(&g, &[0, 1, 2]), Some(2));
+    }
+
+    /// The self-cleaning invariant of [`DiameterScratch`]: every word
+    /// and mark zero, every list empty.
+    fn is_clean(s: &DiameterScratch) -> bool {
+        s.seen.iter().all(|&w| w == 0)
+            && s.frontier.iter().all(|&w| w == 0)
+            && s.next.iter().all(|&w| w == 0)
+            && s.member.iter().all(|&m| !m)
+            && s.members.is_empty()
+            && s.frontier_list.is_empty()
+            && s.next_list.is_empty()
+            && s.touched.is_empty()
+    }
+
+    #[test]
+    fn weak_diameter_matches_the_oracle_across_batch_boundaries() {
+        let g = gen::grid(12, 12);
+        for k in [1usize, 2, 63, 64, 65, 128, 130, 144] {
+            let s: Vec<Vertex> = (0..k as Vertex).map(|i| (i * 37) % 144).collect();
+            assert_eq!(
+                weak_diameter(&g, &s),
+                weak_diameter_oracle(&g, &s),
+                "k = {k}"
+            );
+        }
+        assert_eq!(weak_diameter(&g, &[]), Some(0));
+        assert_eq!(weak_diameter(&g, &[5, 5, 5]), Some(0));
+    }
+
+    #[test]
+    fn diameter_scratch_is_clean_after_every_call_and_reusable() {
+        let grid = gen::grid(10, 10);
+        let cycle = gen::cycle(300); // larger: the scratch must regrow
+        let split = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
+        let all_grid: Vec<Vertex> = grid.vertices().collect();
+        let all_cycle: Vec<Vertex> = cycle.vertices().collect();
+        let cases: [(&Graph, Vec<Vertex>); 7] = [
+            (&grid, all_grid.clone()),
+            (&cycle, all_cycle),
+            (&split, vec![0, 2, 4]),
+            (&grid, vec![7, 7, 93]),
+            (&cycle, (0..100).map(|i| i * 3).collect()),
+            (&split, vec![3, 4, 0]),
+            (&grid, all_grid),
+        ];
+        let mut scratch = DiameterScratch::new();
+        let mut disconnected = 0;
+        for (g, s) in &cases {
+            let got = weak_diameter_with_scratch(g, s, &mut scratch);
+            assert_eq!(got, weak_diameter(g, s), "{s:?}");
+            assert_eq!(got, weak_diameter_oracle(g, s), "{s:?}");
+            assert!(is_clean(&scratch), "scratch left dirty by {s:?}");
+            disconnected += usize::from(got.is_none());
+        }
+        assert_eq!(disconnected, 2, "both `split` sets take the `None` exit");
     }
 
     #[test]

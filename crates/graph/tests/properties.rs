@@ -2,6 +2,8 @@
 
 use dapc_graph::{gen, girth, power, subdivide, traversal, Graph, Hypergraph, Vertex};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SliceRandom;
 
 /// Strategy: a random edge list over `n` vertices.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -9,6 +11,103 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
         proptest::collection::vec((0..n as Vertex, 0..n as Vertex), 0..(3 * n))
             .prop_map(move |edges| Graph::from_edges(n, &edges))
     })
+}
+
+/// The weak diameter as it was computed before the bit-parallel sweep:
+/// one full-graph BFS per listed vertex, every pair checked.
+fn weak_diameter_oracle(g: &Graph, s: &[Vertex]) -> Option<u32> {
+    let mut best = 0u32;
+    for &u in s {
+        let dist = traversal::bfs_distances(g, u);
+        for &v in s {
+            let d = dist[v as usize];
+            if d == traversal::UNREACHABLE {
+                return None;
+            }
+            best = best.max(d);
+        }
+    }
+    Some(best)
+}
+
+/// `a` and `b` side by side, `b`'s vertices shifted past `a`'s.
+fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+    let off = a.n() as Vertex;
+    let edges: Vec<(Vertex, Vertex)> = a
+        .edges()
+        .chain(b.edges().map(|(u, v)| (u + off, v + off)))
+        .collect();
+    Graph::from_edges(a.n() + b.n(), &edges)
+}
+
+/// The weak-diameter test graphs for `n ≥ 130`, each on at least 130
+/// vertices so every set of [`diameter_sets`] fits: G(n,p) above and
+/// below the connectivity threshold, grid, random 4-regular, cycle,
+/// path, and a disjoint union of a grid and a cycle.
+fn diameter_graphs(n: usize, rng: &mut StdRng) -> Vec<Graph> {
+    vec![
+        gen::gnp(n, 8.0 / n as f64, rng),
+        gen::gnp(n, 1.5 / n as f64, rng),
+        gen::grid(n / 10, 10),
+        gen::random_regular(n - n % 2, 4, rng),
+        gen::cycle(n),
+        gen::path(n),
+        disjoint_union(&gen::grid(8, n / 16 + 1), &gen::cycle(n / 2)),
+    ]
+}
+
+/// The weak-diameter test sets of `g` (at least 130 vertices): empty,
+/// singleton, duplicated vertices, 63/64/65/130 distinct vertices (one
+/// partial, one full, a full plus a partial, and three batches of 64
+/// sources), and the whole vertex set.
+fn diameter_sets(g: &Graph, rng: &mut StdRng) -> Vec<Vec<Vertex>> {
+    let mut all: Vec<Vertex> = g.vertices().collect();
+    all.shuffle(rng);
+    let mut dup: Vec<Vertex> = all[..40].iter().chain(&all[..25]).copied().collect();
+    dup.shuffle(rng);
+    let mut sets = vec![Vec::new(), vec![all[0]], dup];
+    sets.extend([63, 64, 65, 130].map(|k| all[..k].to_vec()));
+    sets.push(all);
+    sets
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn weak_diameter_equals_the_per_vertex_oracle(n in 130usize..260, seed in 0u64..1_000_000) {
+        let mut rng = gen::seeded_rng(seed);
+        for g in diameter_graphs(n, &mut rng) {
+            for s in diameter_sets(&g, &mut rng) {
+                prop_assert_eq!(
+                    traversal::weak_diameter(&g, &s),
+                    weak_diameter_oracle(&g, &s),
+                    "n={} |S|={}", g.n(), s.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weak_diameter_of_a_set_across_components_is_none(
+        n in 130usize..260,
+        seed in 0u64..1_000_000,
+        left in 1usize..100,
+        right in 1usize..100,
+    ) {
+        let mut rng = gen::seeded_rng(seed);
+        let a = gen::random_regular(n - n % 2, 4, &mut rng);
+        let b = gen::grid(n / 10, 10);
+        let g = disjoint_union(&a, &b);
+        let (mut lo, mut hi): (Vec<Vertex>, Vec<Vertex>) =
+            g.vertices().partition(|&v| (v as usize) < a.n());
+        lo.shuffle(&mut rng);
+        hi.shuffle(&mut rng);
+        let mut s: Vec<Vertex> = lo[..left].iter().chain(&hi[..right]).copied().collect();
+        s.shuffle(&mut rng);
+        prop_assert_eq!(traversal::weak_diameter(&g, &s), None);
+        prop_assert_eq!(weak_diameter_oracle(&g, &s), None);
+    }
 }
 
 proptest! {
