@@ -25,16 +25,38 @@ fn bench_traversal(c: &mut Criterion) {
     c.bench_function("traversal/ball_r5", |b| {
         b.iter(|| traversal::ball(&g, &[0], 5, None))
     });
-    // Exact weak diameter on the costliest LDD-validation shape (a
-    // cluster spanning a whole 4-regular expander) and on a typical grid
-    // cluster (the radius-8 diamond in the middle of a 32×32 grid).
+    // Exact weak diameter on the LDD-validation shapes: a cluster
+    // spanning a whole 4-regular expander and the giant component of a
+    // sparse G(n,p) (eccentricities close to the radius, so every batch
+    // is swept and the dense levels run bottom-up), the one cluster
+    // `three_phase_ldd` returns on E1's grid (the whole 32×32 grid, weak
+    // diameter 62), and a typical grid cluster (the radius-8 diamond in
+    // the middle of that grid).
     let mut scratch = DiameterScratch::new();
     let rr = gen::random_regular(1024, 4, &mut gen::seeded_rng(4));
     let whole: Vec<Vertex> = rr.vertices().collect();
     c.bench_function("traversal/weak_diameter_rr1024_whole", |b| {
         b.iter(|| traversal::weak_diameter_with_scratch(&rr, &whole, &mut scratch))
     });
+    let gnp = gen::gnp(1024, 6.0 / 1024.0, &mut gen::seeded_rng(5));
+    let (comp, k) = gnp.connected_components();
+    let mut sizes = vec![0usize; k];
+    for &c in &comp {
+        sizes[c as usize] += 1;
+    }
+    let largest = (0..k).max_by_key(|&c| sizes[c]).unwrap_or(0);
+    let giant: Vec<Vertex> = gnp
+        .vertices()
+        .filter(|&v| comp[v as usize] as usize == largest)
+        .collect();
+    c.bench_function("traversal/weak_diameter_gnp1024_giant", |b| {
+        b.iter(|| traversal::weak_diameter_with_scratch(&gnp, &giant, &mut scratch))
+    });
     let grid = gen::grid(32, 32);
+    let all_grid: Vec<Vertex> = grid.vertices().collect();
+    c.bench_function("traversal/weak_diameter_grid32_whole", |b| {
+        b.iter(|| traversal::weak_diameter_with_scratch(&grid, &all_grid, &mut scratch))
+    });
     let diamond: Vec<Vertex> = traversal::ball(&grid, &[16 * 32 + 16], 8, None)
         .iter()
         .collect();

@@ -301,19 +301,13 @@ impl Hypergraph {
 
     /// Weak diameter of a vertex set in the primal metric of the *whole*
     /// hypergraph; `None` if some pair is disconnected.
+    ///
+    /// Hypergraph distance is distance in the [primal
+    /// graph](Self::primal_graph), so this is
+    /// [`traversal::weak_diameter`](crate::traversal::weak_diameter) on
+    /// it.
     pub fn weak_diameter(&self, s: &[Vertex]) -> Option<u32> {
-        let mut best = 0u32;
-        for &u in s {
-            let dist = self.distances(&[u], None, None);
-            for &v in s {
-                let d = dist[v as usize];
-                if d == crate::traversal::UNREACHABLE {
-                    return None;
-                }
-                best = best.max(d);
-            }
-        }
-        Some(best)
+        crate::traversal::weak_diameter(&self.primal_graph(), s)
     }
 }
 

@@ -10,18 +10,36 @@
 //! It also measures what the decompositions promise. [`weak_diameter`]
 //! (Definition 1.4) is a bit-parallel multi-source BFS in the shape of
 //! Then et al., "The More the Merrier: Efficient Multi-Source Graph
-//! Traversal" (VLDB 2014): the distinct members of the set are swept in
-//! batches of 64, one bit per source in a `u64` word per vertex.
+//! Traversal" (VLDB 2014): members of the set are swept in batches of 64,
+//! one bit per source in a `u64` word per vertex.
 //!
-//! Cost model: ⌈|S|/64⌉ sweeps. A sweep runs as many levels as the
-//! eccentricity of its sources within the set (the largest distance from
-//! one of them to a member, at most the weak diameter) and stops there,
-//! once every member holds every source's bit; only a disconnected set
-//! runs on until the frontier dies out. A level walks the adjacency of a
-//! sparse frontier list — the vertices that gained a bit at the level
-//! before — so a sweep costs `Σ_v deg(v) · L_v` word operations, `L_v`
-//! being the number of levels at which `v` gains a bit. The per-member
-//! method it replaces ran |S| full-graph BFS, `O(|S| · (n + m))`.
+//! Cost model. A *sweep* runs as many levels as the eccentricity of its
+//! sources within the set (the largest distance from one of them to a
+//! member, at most the weak diameter) and stops there, once every member
+//! holds every source's bit; only a disconnected set runs on until the
+//! frontier dies out. Each level picks its direction from the frontier
+//! size, as in Beamer et al., "Direction-Optimizing Breadth-First Search"
+//! (SC 2012). A frontier of at most n/4 vertices is walked top-down: the
+//! adjacency of the vertices that gained a bit at the level before, so
+//! those levels cost `Σ deg(v)` word operations over the frontier. A
+//! larger frontier runs bottom-up: every vertex still missing bits ORs
+//! its neighbours' frontier words and stops scanning once it holds every
+//! bit of the batch, so a dense level costs at most `n + m` and usually
+//! far less.
+//!
+//! A set of at most 64 members is one sweep. A larger set is first
+//! bounded, in the style of iFUB (Crescenzi et al., "On computing the
+//! diameter of real-world undirected graphs", TCS 2013): a few scalar
+//! BFS, each stopping once it has reached every member, find extremal
+//! members, a centre `u` and a lower bound `lb` (the largest member
+//! eccentricity seen). Every pair of members within distance `k` of `u`
+//! is within `2k` of each other, so the members are swept in decreasing
+//! distance from `u` and the sweeps stop once `lb ≥ 2k` for the next
+//! unswept member; if already `lb ≥ 2·ecc(u)` no sweep runs at all.
+//! ⌈|S|/64⌉ sweeps is the worst case, reached when the eccentricities of
+//! the set are all close to its radius (an expander); on a grid-shaped
+//! cluster one sweep or none is the rule. The per-member method this
+//! replaced ran |S| full-graph BFS, `O(|S| · (n + m))`.
 
 use crate::graph::{Graph, Vertex};
 use std::collections::VecDeque;
@@ -265,8 +283,10 @@ pub fn diameter(g: &Graph) -> u32 {
 }
 
 /// Reusable buffers for [`weak_diameter_with_scratch`]: the per-vertex
-/// bit-parallel BFS words, membership marks and the sparse lists that
-/// walk them, about 25 bytes per vertex.
+/// bit-parallel BFS words, scalar BFS distances, membership marks and the
+/// sparse lists that walk them: 29 bytes per vertex in words and marks,
+/// up to 16 more in vertex lists, and 20 per member of the largest set
+/// measured.
 ///
 /// Like [`BallScratch`] it grows once to the largest graph it meets and
 /// is *self-cleaning*: every call, the disconnected early exit included,
@@ -281,9 +301,13 @@ pub struct DiameterScratch {
     frontier: Vec<u64>,
     /// Bits reaching the vertex at the next level.
     next: Vec<u64>,
+    /// Scalar BFS distance from the current source, or [`UNREACHABLE`].
+    dist: Vec<u32>,
     /// Whether the vertex belongs to the measured set.
     member: Vec<bool>,
-    /// The distinct members, in order of first appearance.
+    /// The distinct members: in order of first appearance, and for a set
+    /// of more than 64 in decreasing distance from the centre once it is
+    /// chosen.
     members: Vec<Vertex>,
     /// Vertices with a nonzero `frontier` word.
     frontier_list: Vec<Vertex>,
@@ -291,7 +315,21 @@ pub struct DiameterScratch {
     next_list: Vec<Vertex>,
     /// Vertices with a nonzero `seen` word.
     touched: Vec<Vertex>,
+    /// The scalar BFS queue: every vertex with a finite `dist`.
+    queue: Vec<Vertex>,
+    /// Per member: its distance from the last scalar BFS source.
+    reach: Vec<u32>,
+    /// Per member: its largest distance to an extremal member.
+    far: Vec<u32>,
+    /// Per member: its distance from the best centre so far, and itself.
+    centre: Vec<(u32, Vertex)>,
 }
+
+/// Rounds of the centre search for a set of more than 64 members. Each is
+/// a double sweep from an extremal member, then a BFS from the candidate
+/// centre: the member whose largest distance to an extremal member found
+/// so far is smallest.
+const CENTRE_ROUNDS: usize = 2;
 
 impl DiameterScratch {
     /// Creates an empty scratch; its storage grows on first use.
@@ -305,6 +343,7 @@ impl DiameterScratch {
             self.seen.resize(n, 0);
             self.frontier.resize(n, 0);
             self.next.resize(n, 0);
+            self.dist.resize(n, UNREACHABLE);
             self.member.resize(n, false);
         }
     }
@@ -336,32 +375,62 @@ impl DiameterScratch {
                 break None;
             }
             level += 1;
-            for &u in &self.frontier_list {
-                let bits = std::mem::take(&mut self.frontier[u as usize]);
-                for &w in g.neighbors(u) {
-                    let w = w as usize;
-                    let new = bits & !self.seen[w];
-                    if new == 0 {
+            let frontier_list = std::mem::take(&mut self.frontier_list);
+            // The bits `new`, none of them in `seen[w]` yet, reach `w`.
+            let mut gain = |s: &mut Self, w: usize, new: u64| {
+                if s.seen[w] == 0 {
+                    s.touched.push(w as Vertex);
+                }
+                s.seen[w] |= new;
+                if s.next[w] == 0 {
+                    s.next_list.push(w as Vertex);
+                }
+                s.next[w] |= new;
+                if s.member[w] {
+                    last_gain = level;
+                    if s.seen[w] == full {
+                        complete += 1;
+                    }
+                }
+            };
+            if frontier_list.len() > g.n() / 4 {
+                // Bottom-up: every vertex still missing bits pulls them
+                // from its neighbours' frontier words.
+                for v in 0..g.n() {
+                    let seen = self.seen[v];
+                    if seen == full {
                         continue;
                     }
-                    if self.seen[w] == 0 {
-                        self.touched.push(w as Vertex);
+                    let mut bits = 0;
+                    for &w in g.neighbors(v as Vertex) {
+                        bits |= self.frontier[w as usize];
+                        if seen | bits == full {
+                            break;
+                        }
                     }
-                    self.seen[w] |= new;
-                    if self.next[w] == 0 {
-                        self.next_list.push(w as Vertex);
+                    let new = bits & !seen;
+                    if new != 0 {
+                        gain(self, v, new);
                     }
-                    self.next[w] |= new;
-                    if self.member[w] {
-                        last_gain = level;
-                        if self.seen[w] == full {
-                            complete += 1;
+                }
+                for &u in &frontier_list {
+                    self.frontier[u as usize] = 0;
+                }
+            } else {
+                // Top-down: the sparse frontier pushes its bits out.
+                for &u in &frontier_list {
+                    let bits = std::mem::take(&mut self.frontier[u as usize]);
+                    for &w in g.neighbors(u) {
+                        let new = bits & !self.seen[w as usize];
+                        if new != 0 {
+                            gain(self, w as usize, new);
                         }
                     }
                 }
             }
-            // Every walked frontier word was taken, so the old frontier
-            // array is all-zero and becomes the next level's accumulator.
+            // Every frontier word is zero again, so the old frontier
+            // array becomes the next level's accumulator.
+            self.frontier_list = frontier_list;
             self.frontier_list.clear();
             std::mem::swap(&mut self.frontier, &mut self.next);
             std::mem::swap(&mut self.frontier_list, &mut self.next_list);
@@ -376,6 +445,97 @@ impl DiameterScratch {
         self.touched.clear();
         result
     }
+
+    /// Scalar BFS from `source` that stops once it has reached every
+    /// member. Fills `reach` with each member's distance from `source` and
+    /// returns the largest (the eccentricity of `source` within the set),
+    /// or `None` if the search dies out first.
+    fn member_distances(&mut self, g: &Graph, source: Vertex) -> Option<u32> {
+        self.dist[source as usize] = 0;
+        self.queue.push(source);
+        let mut reached = usize::from(self.member[source as usize]);
+        let (mut ecc, mut head) = (0, 0);
+        while reached < self.members.len() && head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            let du = self.dist[u as usize];
+            for &w in g.neighbors(u) {
+                if self.dist[w as usize] == UNREACHABLE {
+                    self.dist[w as usize] = du + 1;
+                    self.queue.push(w);
+                    if self.member[w as usize] {
+                        reached += 1;
+                        ecc = du + 1;
+                    }
+                }
+            }
+        }
+        self.reach.clear();
+        self.reach
+            .extend(self.members.iter().map(|&v| self.dist[v as usize]));
+        for &v in &self.queue {
+            self.dist[v as usize] = UNREACHABLE;
+        }
+        self.queue.clear();
+        (reached == self.members.len()).then_some(ecc)
+    }
+
+    /// Exact weak diameter of a set of more than 64 members, the
+    /// centre-bounded search of the [module docs](self). Leaves `reach`,
+    /// `far` and `centre` for the caller to clear.
+    fn bounded(&mut self, g: &Graph) -> Option<u32> {
+        // The first search also settles connectivity: once it reaches
+        // every member, so does every later one.
+        let mut lb = self.member_distances(g, self.members[0])?;
+        let mut extremal = index_of_max(&self.reach);
+        self.far.resize(self.members.len(), 0);
+        let mut best = UNREACHABLE;
+        for _ in 0..CENTRE_ROUNDS {
+            // A double sweep: the extremal member, then the member
+            // farthest from it.
+            for _ in 0..2 {
+                lb = lb.max(self.member_distances(g, self.members[extremal])?);
+                for (f, &d) in self.far.iter_mut().zip(&self.reach) {
+                    *f = (*f).max(d);
+                }
+                extremal = index_of_max(&self.reach);
+            }
+            let centre = self.far.iter().enumerate().min_by_key(|&(_, &f)| f)?.0;
+            let ecc = self.member_distances(g, self.members[centre])?;
+            lb = lb.max(ecc);
+            if ecc < best {
+                best = ecc;
+                self.centre.clear();
+                self.centre
+                    .extend(self.reach.iter().copied().zip(self.members.iter().copied()));
+            }
+            if lb >= 2 * best {
+                return Some(lb);
+            }
+            extremal = index_of_max(&self.reach);
+        }
+        self.centre
+            .sort_unstable_by_key(|&(d, v)| (std::cmp::Reverse(d), v));
+        for (m, &(_, v)) in self.members.iter_mut().zip(&self.centre) {
+            *m = v;
+        }
+        let len = self.members.len();
+        for start in (0..len).step_by(64) {
+            // Every unswept member is within `centre[start].0` of the
+            // centre, so no two of them are farther apart than twice that.
+            if lb >= 2 * self.centre[start].0 {
+                break;
+            }
+            lb = lb.max(self.sweep(g, start..len.min(start + 64))?);
+        }
+        Some(lb)
+    }
+}
+
+/// Index of the first largest entry (`0` for an empty slice).
+fn index_of_max(d: &[u32]) -> usize {
+    let max = d.iter().max();
+    d.iter().position(|x| Some(x) == max).unwrap_or(0)
 }
 
 /// Weak diameter of a vertex subset: `max_{u,v ∈ S} dist_G(u, v)` where the
@@ -383,13 +543,14 @@ impl DiameterScratch {
 /// paper). Returns `None` if some pair of `S` is disconnected in `g`;
 /// duplicates in `s` are ignored and the empty set has diameter `0`.
 ///
-/// Exact, by bit-parallel multi-source BFS: the distinct members are
-/// taken in batches of 64 sources, and a batch's sweep stops at the level
-/// where every member holds every source's bit — the answer is the last
-/// level at which any member gained one. That is ⌈|S|/64⌉ sweeps, each
-/// at most the set's eccentricity in levels (see the
-/// [module docs](self) for the full cost model), instead of one
-/// full-graph BFS per member. Allocates a fresh [`DiameterScratch`]; use
+/// Exact, by bit-parallel multi-source BFS: a sweep from up to 64 sources
+/// stops at the level where every member holds every source's bit, and
+/// its answer is the last level at which any member gained one. A set of
+/// at most 64 distinct members is one sweep; a larger one first bounds
+/// its diameter from a centre found by a few early-stopping scalar BFS
+/// and sweeps only the members far enough from that centre to matter —
+/// at most ⌈|S|/64⌉ sweeps (see the [module docs](self) for the full cost
+/// model). Allocates a fresh [`DiameterScratch`]; use
 /// [`weak_diameter_with_scratch`] to measure many sets.
 ///
 /// ```
@@ -416,14 +577,18 @@ pub fn weak_diameter_with_scratch(
             scratch.members.push(v);
         }
     }
-    let len = scratch.members.len();
-    let diameter = (0..len).step_by(64).try_fold(0, |best, start| {
-        Some(best.max(scratch.sweep(g, start..len.min(start + 64))?))
-    });
+    let diameter = match scratch.members.len() {
+        0 => Some(0),
+        len @ 1..=64 => scratch.sweep(g, 0..len),
+        _ => scratch.bounded(g),
+    };
     for &v in &scratch.members {
         scratch.member[v as usize] = false;
     }
     scratch.members.clear();
+    scratch.reach.clear();
+    scratch.far.clear();
+    scratch.centre.clear();
     diameter
 }
 
@@ -572,11 +737,16 @@ mod tests {
         s.seen.iter().all(|&w| w == 0)
             && s.frontier.iter().all(|&w| w == 0)
             && s.next.iter().all(|&w| w == 0)
+            && s.dist.iter().all(|&d| d == UNREACHABLE)
             && s.member.iter().all(|&m| !m)
             && s.members.is_empty()
             && s.frontier_list.is_empty()
             && s.next_list.is_empty()
             && s.touched.is_empty()
+            && s.queue.is_empty()
+            && s.reach.is_empty()
+            && s.far.is_empty()
+            && s.centre.is_empty()
     }
 
     #[test]
@@ -599,15 +769,26 @@ mod tests {
         let grid = gen::grid(10, 10);
         let cycle = gen::cycle(300); // larger: the scratch must regrow
         let split = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
+        // Two cycles of 100: a set of more than 64 across both takes the
+        // `None` exit of the first scalar BFS.
+        let halves: Vec<(Vertex, Vertex)> = (0..200)
+            .map(|v| (v, if v % 100 == 99 { v - 99 } else { v + 1 }))
+            .collect();
+        let halves = Graph::from_edges(200, &halves);
         let all_grid: Vec<Vertex> = grid.vertices().collect();
         let all_cycle: Vec<Vertex> = cycle.vertices().collect();
-        let cases: [(&Graph, Vec<Vertex>); 7] = [
+        // 75 members, settled by the centre bound before any sweep.
+        let diamond: Vec<Vertex> = ball(&grid, &[55], 6, None).iter().collect();
+        let cases: [(&Graph, Vec<Vertex>); 10] = [
             (&grid, all_grid.clone()),
             (&cycle, all_cycle),
             (&split, vec![0, 2, 4]),
+            (&halves, (0..150).collect()),
             (&grid, vec![7, 7, 93]),
             (&cycle, (0..100).map(|i| i * 3).collect()),
             (&split, vec![3, 4, 0]),
+            (&grid, diamond),
+            (&halves, (50..180).rev().collect()),
             (&grid, all_grid),
         ];
         let mut scratch = DiameterScratch::new();
@@ -619,7 +800,7 @@ mod tests {
             assert!(is_clean(&scratch), "scratch left dirty by {s:?}");
             disconnected += usize::from(got.is_none());
         }
-        assert_eq!(disconnected, 2, "both `split` sets take the `None` exit");
+        assert_eq!(disconnected, 4, "the `split` and `halves` sets are `None`");
     }
 
     #[test]

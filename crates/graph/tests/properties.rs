@@ -3,7 +3,7 @@
 use dapc_graph::{gen, girth, power, subdivide, traversal, Graph, Hypergraph, Vertex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SliceRandom;
+use rand::{Rng, SliceRandom};
 
 /// Strategy: a random edge list over `n` vertices.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -30,6 +30,23 @@ fn weak_diameter_oracle(g: &Graph, s: &[Vertex]) -> Option<u32> {
     Some(best)
 }
 
+/// The hypergraph weak diameter as it was computed before it went
+/// through the primal graph: one primal-metric BFS per listed vertex.
+fn hypergraph_weak_diameter_oracle(h: &Hypergraph, s: &[Vertex]) -> Option<u32> {
+    let mut best = 0u32;
+    for &u in s {
+        let dist = h.distances(&[u], None, None);
+        for &v in s {
+            let d = dist[v as usize];
+            if d == traversal::UNREACHABLE {
+                return None;
+            }
+            best = best.max(d);
+        }
+    }
+    Some(best)
+}
+
 /// `a` and `b` side by side, `b`'s vertices shifted past `a`'s.
 fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
     let off = a.n() as Vertex;
@@ -41,14 +58,18 @@ fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
 }
 
 /// The weak-diameter test graphs for `n ≥ 130`, each on at least 130
-/// vertices so every set of [`diameter_sets`] fits: G(n,p) above and
-/// below the connectivity threshold, grid, random 4-regular, cycle,
-/// path, and a disjoint union of a grid and a cycle.
+/// vertices so every set of [`diameter_sets`] fits: G(n,p) above, near
+/// and below the connectivity threshold, grid, random 3- and 4-regular,
+/// cycle, path, and a disjoint union of a grid and a cycle. Balls in the
+/// sparse tree-like graphs are where the centre search most often ends
+/// one short of the diameter, so they exercise the stop rule's boundary.
 fn diameter_graphs(n: usize, rng: &mut StdRng) -> Vec<Graph> {
     vec![
         gen::gnp(n, 8.0 / n as f64, rng),
+        gen::gnp(n, 3.0 / n as f64, rng),
         gen::gnp(n, 1.5 / n as f64, rng),
         gen::grid(n / 10, 10),
+        gen::random_regular(n - n % 2, 3, rng),
         gen::random_regular(n - n % 2, 4, rng),
         gen::cycle(n),
         gen::path(n),
@@ -59,7 +80,8 @@ fn diameter_graphs(n: usize, rng: &mut StdRng) -> Vec<Graph> {
 /// The weak-diameter test sets of `g` (at least 130 vertices): empty,
 /// singleton, duplicated vertices, 63/64/65/130 distinct vertices (one
 /// partial, one full, a full plus a partial, and three batches of 64
-/// sources), and the whole vertex set.
+/// sources), the whole vertex set, and the cluster shapes of
+/// [`cluster_sets`].
 fn diameter_sets(g: &Graph, rng: &mut StdRng) -> Vec<Vec<Vertex>> {
     let mut all: Vec<Vertex> = g.vertices().collect();
     all.shuffle(rng);
@@ -67,7 +89,34 @@ fn diameter_sets(g: &Graph, rng: &mut StdRng) -> Vec<Vec<Vertex>> {
     dup.shuffle(rng);
     let mut sets = vec![Vec::new(), vec![all[0]], dup];
     sets.extend([63, 64, 65, 130].map(|k| all[..k].to_vec()));
+    sets.extend(cluster_sets(g, all[0], rng));
     sets.push(all);
+    sets
+}
+
+/// Cluster-shaped sets around random centres of `g`: a BFS ball of each
+/// radius 2–6, the same balls without their centre (so the best centre
+/// of the set is not a member), and the union of a ball around `a` with
+/// one around a vertex farthest from `a`, whose far half alone can fill
+/// more than one batch of 64 sources.
+fn cluster_sets(g: &Graph, a: Vertex, rng: &mut StdRng) -> Vec<Vec<Vertex>> {
+    let ball =
+        |c: Vertex, r: usize| -> Vec<Vertex> { traversal::ball(g, &[c], r, None).iter().collect() };
+    let mut sets = Vec::new();
+    for r in 2..=6 {
+        let c = rng.random_range(0..g.n() as Vertex);
+        let b = ball(c, r);
+        sets.push(b[1..].to_vec());
+        sets.push(b);
+    }
+    let d = traversal::bfs_distances(g, a);
+    let b = g
+        .vertices()
+        .filter(|&v| d[v as usize] != traversal::UNREACHABLE)
+        .max_by_key(|&v| d[v as usize])
+        .unwrap_or(a);
+    let r = rng.random_range(2..7);
+    sets.push(ball(a, r).into_iter().chain(ball(b, r)).collect());
     sets
 }
 
@@ -107,6 +156,39 @@ proptest! {
         s.shuffle(&mut rng);
         prop_assert_eq!(traversal::weak_diameter(&g, &s), None);
         prop_assert_eq!(weak_diameter_oracle(&g, &s), None);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random hypergraphs of 2–5-vertex hyperedges, from too few to
+    /// connect the vertex set to many, and sets from a single vertex to
+    /// more than one batch of 64 sources.
+    #[test]
+    fn hypergraph_weak_diameter_equals_the_per_vertex_oracle(
+        n in 2usize..160,
+        density in 0.1f64..1.5,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = gen::seeded_rng(seed);
+        let edges: Vec<Vec<Vertex>> = (0..(density * n as f64) as usize)
+            .map(|_| {
+                let rank = rng.random_range(2..6usize);
+                (0..rank).map(|_| rng.random_range(0..n as Vertex)).collect()
+            })
+            .collect();
+        let h = Hypergraph::new(n, edges);
+        let mut all: Vec<Vertex> = (0..n as Vertex).collect();
+        all.shuffle(&mut rng);
+        for k in [1, 2, n / 3, n / 2, n] {
+            let s = &all[..k.max(1)];
+            prop_assert_eq!(
+                h.weak_diameter(s),
+                hypergraph_weak_diameter_oracle(&h, s),
+                "n={} m={} |S|={}", n, h.m(), s.len()
+            );
+        }
     }
 }
 
