@@ -27,9 +27,6 @@
 //! the single-process output. Criterion wall-clock benches for the
 //! substrate live in `benches/`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod exp_ilp;
 pub mod exp_ldd;
 pub mod exp_lower;

@@ -28,9 +28,6 @@
 //! consultation, or programmatically via [`arm`]. Unarmed, every site
 //! check is one relaxed atomic load and injects nothing.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use dapc_ilp::hash::{fnv1a, fnv1a_u64, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::io::{self, Read};

@@ -19,9 +19,6 @@
 //! assert!(tail < 1e-10);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bounds;
 pub mod dist;
 pub mod empirical;

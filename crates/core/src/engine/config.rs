@@ -234,6 +234,10 @@ impl SolveConfig {
     }
 
     /// The deterministic RNG this configuration seeds.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the key-derivation site: every solver stream derives from the config seed here"
+    )]
     pub fn rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.seed)
     }

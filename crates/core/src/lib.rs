@@ -30,9 +30,6 @@
 //! assert!(r.weight <= 7); // τ(C12) = 6, (1+ε)·6 = 7.8
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod adapters;
 pub mod covering;
 pub mod engine;

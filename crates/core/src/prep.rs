@@ -24,8 +24,10 @@ use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_ilp::restrict::packing_restriction;
 use dapc_ilp::solvers::{self, SolverBudget};
 use rand::rngs::StdRng;
-// dapc-allow(hash-iter): digest-keyed lookup caches and dedup sets only; every
-// dapc-allow(hash-iter): snapshot path sorts keys before writing bytes
+#[expect(
+    clippy::disallowed_types,
+    reason = "digest-keyed lookup caches and dedup sets only; every snapshot path sorts keys before writing bytes"
+)]
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -160,8 +162,10 @@ impl Default for CacheInner {
 
 #[derive(Default)]
 struct Stripe {
-    // dapc-allow(hash-iter): hot digest-keyed lookups; the save path iterates
-    // dapc-allow(hash-iter): the BTreeMap recency index, never this map
+    #[expect(
+        clippy::disallowed_types,
+        reason = "hot digest-keyed lookups; the save path iterates the BTreeMap recency index, never this map"
+    )]
     map: HashMap<SubsetKey, Slot>,
     /// Recency index: `last_used tick → key`. Ticks are unique within a
     /// stripe, so the first entry is always the LRU victim — eviction is
@@ -549,7 +553,10 @@ pub struct Preparation {
 pub struct SubsetSolver<'a> {
     ilp: &'a IlpInstance,
     budget: SolverBudget,
-    // dapc-allow(hash-iter): hot digest-keyed memo, lookup-only — never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "hot digest-keyed memo, lookup-only — never iterated"
+    )]
     cache: HashMap<SubsetKey, SubsetEntry>,
     shared: Option<SharedSubsetCache>,
     /// Reusable mask buffer for [`SubsetSolver::value_of`].
@@ -564,7 +571,7 @@ impl<'a> SubsetSolver<'a> {
         SubsetSolver {
             ilp,
             budget,
-            // dapc-allow(hash-iter): lookup-only memo (see field)
+            #[expect(clippy::disallowed_types, reason = "lookup-only memo (see field)")]
             cache: HashMap::new(),
             shared: None,
             mask_buf: Vec::new(),
@@ -584,7 +591,7 @@ impl<'a> SubsetSolver<'a> {
         SubsetSolver {
             ilp,
             budget,
-            // dapc-allow(hash-iter): lookup-only memo (see field)
+            #[expect(clippy::disallowed_types, reason = "lookup-only memo (see field)")]
             cache: HashMap::new(),
             shared: Some(shared),
             mask_buf: Vec::new(),
@@ -825,8 +832,10 @@ fn shard_subset_solves(
     members_list: &[Vec<Vertex>],
 ) -> Vec<(SubsetKey, SubsetKey)> {
     let n = ilp.n();
-    // dapc-allow(hash-iter): membership-test dedup only; the output order
-    // dapc-allow(hash-iter): follows the deterministic worklist, not the set
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-test dedup only; the output order follows the deterministic worklist, not the set"
+    )]
     let mut seen: HashSet<SubsetKey> = HashSet::new();
     let mut worklist: Vec<(SubsetKey, Vec<Vertex>)> = Vec::new();
     let mut cluster_keys: Vec<(SubsetKey, SubsetKey)> = Vec::with_capacity(members_list.len());

@@ -8,15 +8,14 @@
 //! (`dapc_runtime::snap`), so bit flips and truncation fail loudly.
 //!
 //! This module is the *only* place a `b"DAPC…"` literal may appear in
-//! library code — the `magic-registry` rule of `dapc-analyze` enforces
-//! single declaration, 8-byte length, `DAPC` prefix, version-byte
-//! range, tag uniqueness and seal-flag consistency, and the
-//! `registry_is_consistent` unit test re-checks the table at runtime.
+//! library code. Two checks hold it to that. The
+//! `registry_is_consistent` unit test below checks the table itself:
+//! `DAPC` prefix, version-byte range, seal-flag consistency and the
+//! uniqueness of every magic and tag. The workspace test
+//! `tests/source_contracts.rs` fails on any `b"DAPC…"` literal outside
+//! this file and checks that every entry of [`ALL`] is declared here.
 //! Loaders and writers import these constants; a new format starts by
 //! adding its entry here.
-//!
-//! Field-order convention (the analyzer's lexical seal check relies on
-//! it): each entry writes `bytes` first, then `sealed`, then `name`.
 
 /// One registered snapshot format: its 8-byte magic (7 identifying
 /// bytes + 1 version byte), whether the format carries a trailing
@@ -112,10 +111,9 @@ pub const ALL: [&Magic; 7] = [
 mod tests {
     use super::*;
 
-    /// The registry invariants the `magic-registry` analyzer rule
-    /// checks lexically, re-checked on the real table: `DAPC` prefix,
-    /// known version byte, version/seal consistency, and uniqueness of
-    /// both the full magic and the three-letter tag.
+    /// The registry invariants: `DAPC` prefix, known version byte,
+    /// version/seal consistency, and uniqueness of both the full magic
+    /// and the three-letter tag.
     #[test]
     fn registry_is_consistent() {
         let mut seen_magic = std::collections::BTreeSet::new();

@@ -30,9 +30,6 @@
 //! assert!(out.decomposition.deleted_fraction() <= 0.3);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod blackbox;
 pub mod elkin_neiman;
 pub mod message_passing;

@@ -429,47 +429,6 @@ fn estimate_ball_mass(g: &Graph, r: usize, alive: &[bool], weights: Option<&[u64
         .collect()
 }
 
-/// `|N^r(v)|` for every alive vertex, with a per-component shortcut when
-/// the radius provably covers the component.
-#[allow(dead_code)]
-fn estimate_ball_sizes(g: &Graph, r: usize, alive: &[bool]) -> Vec<usize> {
-    let n = g.n();
-    let (comp, k) = g.connected_components_masked(alive);
-    let mut comp_size = vec![0usize; k];
-    let mut comp_seen_vertex: Vec<Option<Vertex>> = vec![None; k];
-    for v in 0..n {
-        if alive[v] {
-            comp_size[comp[v] as usize] += 1;
-            comp_seen_vertex[comp[v] as usize].get_or_insert(v as Vertex);
-        }
-    }
-    // Certificate: diameter(component) <= 2·ecc(any vertex).
-    let mut covered = vec![false; k];
-    for c in 0..k {
-        if let Some(v) = comp_seen_vertex[c] {
-            let dist = traversal::bfs_distances_masked(g, &[v], alive);
-            let ecc = dist
-                .iter()
-                .filter(|&&d| d != traversal::UNREACHABLE)
-                .max()
-                .copied()
-                .unwrap_or(0);
-            covered[c] = 2 * ecc as usize <= r;
-        }
-    }
-    (0..n)
-        .map(|v| {
-            if !alive[v] {
-                0
-            } else if covered[comp[v] as usize] {
-                comp_size[comp[v] as usize]
-            } else {
-                traversal::ball(g, &[v as Vertex], r, Some(alive)).len()
-            }
-        })
-        .collect()
-}
-
 /// The optional diameter-improvement step (§3.2, proof of Theorem 1.1):
 /// every cluster locally re-decomposes itself with Lemma C.1 at
 /// `λ = ε/4` (retrying until at most `ε/2` of the cluster is deleted —

@@ -66,9 +66,6 @@
 //! assert_eq!(sum.load(Ordering::Relaxed), 55);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod deque;
 mod park;
 
@@ -272,6 +269,10 @@ impl Executor {
             shutdown: AtomicBool::new(false),
             workers,
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the executor owns its worker threads"
+        )]
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -353,7 +354,10 @@ impl Scope<'_> {
         let task = Task {
             group: Arc::clone(&self.group),
             job: Box::new(f),
-            // dapc-allow(wall-clock): queue-wait telemetry only, gated on dapc_obs::enabled
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "queue-wait telemetry only, gated on dapc_obs::enabled"
+            )]
             enqueued_at: observed.then(Instant::now),
         };
         match worker_index(self.shared) {
@@ -396,7 +400,10 @@ fn run_task(shared: &Arc<Shared>, task: Task) {
     // observability was enabled at enqueue, so a disabled run records
     // nothing even if the gate flips mid-flight.
     let started = task.enqueued_at.map(|queued| {
-        // dapc-allow(wall-clock): queue-wait telemetry only, gated on dapc_obs::enabled
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "queue-wait telemetry only, gated on dapc_obs::enabled"
+        )]
         let now = Instant::now();
         metrics::task_wait().observe_micros(now - queued);
         now

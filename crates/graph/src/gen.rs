@@ -339,7 +339,10 @@ fn bounded_dist(adj: &[Vec<Vertex>], a: Vertex, b: Vertex, cap: usize) -> bool {
 /// assert_eq!(g, g2);
 /// ```
 pub fn seeded_rng(seed: u64) -> StdRng {
-    // dapc-allow(rng): the canonical seeded constructor — the named seed is the derivation key
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the canonical seeded constructor — the named seed is the derivation key"
+    )]
     StdRng::seed_from_u64(seed)
 }
 

@@ -36,9 +36,6 @@
 //! assert_eq!(h.m(), g.m());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod builder;
 pub mod gen;
 pub mod girth;

@@ -24,9 +24,6 @@
 //! assert_eq!((opt, exact), (4, true));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod hash;
 pub mod instance;
 pub mod problems;

@@ -55,7 +55,7 @@ impl Bits {
         }
     }
 
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }

@@ -20,9 +20,6 @@
 //! ("an r-round LOCAL algorithm is a function of r-balls") the charged
 //! accounting relies on.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod charge;
 pub mod gather;
 pub mod network;

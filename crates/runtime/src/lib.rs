@@ -69,8 +69,9 @@
 //! assert!(g.meets_guarantee());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// panic: fallibility flows through the exit triage, never a panic in a
+// library path; tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod cache;
 mod corpus;

@@ -581,8 +581,12 @@ impl BatchAggregator {
             };
             span.groups.push(GroupAcc::open(r, opt, opt_exact));
         }
-        // dapc-allow(panic): the accumulator was pushed by the branch directly above
-        span.groups.last_mut().expect("group just ensured").fold(r);
+        #[expect(
+            clippy::expect_used,
+            reason = "the accumulator was pushed by the branch directly above"
+        )]
+        let group = span.groups.last_mut().expect("group just ensured");
+        group.fold(r);
     }
 
     /// Merges another aggregator — typically a shard's, loaded with
@@ -707,10 +711,13 @@ impl BatchAggregator {
     /// last* shard cannot be detected here; merge at the
     /// [`crate::PartReport`] level, whose [`crate::PartReport::finish`]
     /// checks full coverage against the corpus job count.
+    #[expect(
+        clippy::panic,
+        reason = "the documented merge-gap contract of finish (see # Panics)"
+    )]
     pub fn finish(self) -> (Vec<GroupSummary>, Vec<BackendSummary>) {
         let spans = Self::coalesced(self.spans);
         if let [first, second, ..] = &spans[..] {
-            // dapc-allow(panic): the documented merge-gap contract of finish (see # Panics)
             panic!(
                 "merged shards leave a gap: jobs [{}, {}) are missing",
                 first.end(),
@@ -737,10 +744,13 @@ impl BatchAggregator {
                     micros: 0,
                 });
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the accumulator was pushed by the branch directly above"
+            )]
             let b = backends
                 .iter_mut()
                 .find(|b| b.backend == g.backend)
-                // dapc-allow(panic): the accumulator was pushed by the branch directly above
                 .expect("backend just ensured");
             b.jobs += g.jobs;
             b.feasible &= g.feasible;

@@ -154,16 +154,21 @@ impl RuntimeConfig {
 pub fn solve_many(corpus: &Corpus, rt: &RuntimeConfig) -> BatchReport {
     let results = Arc::new(Mutex::new(Vec::with_capacity(corpus.len())));
     let sink = Arc::clone(&results);
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+    )]
     let stream =
         solve_many_streaming_with_cache(corpus, rt, &PrepCache::new(), move |r: JobResult| {
-            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
             sink.lock().expect("batch result sink").push(r);
         });
+    #[expect(
+        clippy::expect_used,
+        reason = "the streaming call returned, so the hook (the only other holder) is dropped; the sink is poisoned only if a sibling worker already panicked; propagate that crash"
+    )]
     let results = Arc::try_unwrap(results)
-        // dapc-allow(panic): the streaming call returned, so the hook (the only other holder) is dropped
         .expect("streaming returned, the hook was dropped")
         .into_inner()
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
         .expect("batch result sink");
     BatchReport {
         results,
@@ -310,7 +315,10 @@ pub fn solve_range<F>(
 where
     F: FnMut(JobResult) + Send + 'static,
 {
-    // dapc-allow(wall-clock): wall-time report field; timings are excluded from report identity
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-time report field; timings are excluded from report identity"
+    )]
     let start = Instant::now();
     let jobs = corpus.range_jobs(range.clone());
     let optima = if rt.reference_optima {
@@ -351,7 +359,10 @@ where
     let use_cache = rt.prep_cache;
     let prep_workers = rt.prep_workers.max(1);
     let pumps = rt.jobs.max(1).min(n).max(1);
-    // dapc-allow(wall-clock): stream-stage telemetry only, gated on dapc_obs::enabled
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stream-stage telemetry only, gated on dapc_obs::enabled"
+    )]
     let stream_started = dapc_obs::enabled().then(Instant::now);
     let finish = |out| {
         if let Some(started) = stream_started {
@@ -384,7 +395,10 @@ where
             let cursor = Arc::clone(&cursor);
             let cache = cache.clone();
             s.spawn(move || {
-                // dapc-allow(wall-clock): pump telemetry only, gated on dapc_obs::enabled
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "pump telemetry only, gated on dapc_obs::enabled"
+                )]
                 let pump_started = dapc_obs::enabled().then(Instant::now);
                 loop {
                     if delivery.is_poisoned() {
@@ -417,9 +431,12 @@ where
             });
         }
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "the worker scope has joined, so no pump still holds the delivery"
+    )]
     let (aggregator, peak) = Arc::try_unwrap(delivery)
         .ok()
-        // dapc-allow(panic): the worker scope has joined, so no pump still holds the delivery
         .expect("scope joined, no pump holds the delivery")
         .into_parts();
     finish((aggregator, pumps, peak))
@@ -522,7 +539,10 @@ impl<F: FnMut(JobResult)> Delivery<F> {
     /// waits for the in-order frontier to advance. On a poisoned
     /// pipeline the result is discarded and the call returns at once.
     fn submit(&self, index: usize, result: JobResult) {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
         let mut st = self.state.lock().expect("delivery lock");
         let mut slot = Some(result);
         loop {
@@ -530,7 +550,10 @@ impl<F: FnMut(JobResult)> Delivery<F> {
                 return;
             }
             if index == st.next {
-                // dapc-allow(panic): the slot is refilled before every loop iteration that can reach this take
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the slot is refilled before every loop iteration that can reach this take"
+                )]
                 let result = slot.take().expect("result still in hand");
                 // The aggregator or the caller's hook may panic; that
                 // still has to poison the pipeline (and wake parked
@@ -558,35 +581,51 @@ impl<F: FnMut(JobResult)> Delivery<F> {
                 return;
             }
             if st.parked.len() < self.capacity {
-                st.parked
-                    // dapc-allow(panic): the slot is refilled before every loop iteration that can reach this take
-                    .insert(index, slot.take().expect("result still in hand"));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the slot is refilled before every loop iteration that can reach this take"
+                )]
+                let result = slot.take().expect("result still in hand");
+                st.parked.insert(index, result);
                 st.peak = st.peak.max(st.parked.len());
                 if dapc_obs::enabled() {
                     metrics::reorder_occupancy().observe(st.parked.len() as u64);
                 }
                 return;
             }
-            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-            st = self.advanced.wait(st).expect("delivery lock");
+            #[expect(
+                clippy::expect_used,
+                reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+            )]
+            let woken = self.advanced.wait(st).expect("delivery lock");
+            st = woken;
         }
     }
 
     /// Marks the pipeline dead after a job panic and wakes every parked
     /// submitter so the batch fails fast instead of hanging.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+    )]
     fn poison(&self) {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
         self.state.lock().expect("delivery lock").poisoned = true;
         self.advanced.notify_all();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+    )]
     fn is_poisoned(&self) -> bool {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
         self.state.lock().expect("delivery lock").poisoned
     }
 
     fn into_parts(self) -> (BatchAggregator, usize) {
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
         let st = self.state.into_inner().expect("delivery lock");
         debug_assert!(
             st.poisoned || st.parked.is_empty(),
@@ -617,10 +656,16 @@ fn run_job(job: Job, use_cache: bool, cache: &PrepCache, prep_workers: usize) ->
     if prep_workers > 1 {
         cfg.prep_workers = prep_workers;
     }
-    // dapc-allow(wall-clock): per-job micros field; timings are excluded from report identity
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-job micros field; timings are excluded from report identity"
+    )]
     let timer = Instant::now();
+    #[expect(
+        clippy::expect_used,
+        reason = "corpus construction already validated every backend key against the registry"
+    )]
     let report =
-        // dapc-allow(panic): corpus construction already validated every backend key against the registry
         engine::solve(&key.backend, &ilp, &cfg).expect("corpus build validated every backend key");
     let micros = timer.elapsed().as_micros() as u64;
     if dapc_obs::enabled() {

@@ -19,7 +19,8 @@
 //! 0 ok, 2 usage, 3 transient I/O, 4 corrupt snapshot/spec bytes,
 //! 5 solve panic.
 
-#![forbid(unsafe_code)]
+// panic: the same contract as the library crate root.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use dapc_serve::{client, exit, CorpusSpec, Daemon, DaemonConfig, SweepConfig, WorkerOptions};
 use std::io::{self, Write};

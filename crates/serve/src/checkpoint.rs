@@ -216,7 +216,10 @@ pub fn write_part(dir: &Path, part: &PartReport) -> io::Result<PathBuf> {
     };
     // Timed as one unit: serialisation plus the atomic publish — the
     // span a crashing worker would forfeit.
-    // dapc-allow(wall-clock): checkpoint-publish telemetry only, gated on dapc_obs::enabled
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "checkpoint-publish telemetry only, gated on dapc_obs::enabled"
+    )]
     let started = dapc_obs::enabled().then(std::time::Instant::now);
     let mut bytes = Vec::new();
     part.save_to(&mut bytes)?;
@@ -471,7 +474,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::single_range_in_vec_init)] // single-range vecs are the fixtures here
+    #[expect(
+        clippy::single_range_in_vec_init,
+        reason = "single-range vecs are the fixtures here"
+    )]
     fn manifest_rejects_non_normal_done_ranges() {
         let spec = demo_spec();
         for done in [
@@ -509,7 +515,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::single_range_in_vec_init)] // single-range slices are the fixtures here
+    #[expect(
+        clippy::single_range_in_vec_init,
+        reason = "single-range slices are the fixtures here"
+    )]
     fn uncovered_is_the_complement() {
         assert_eq!(uncovered(10, &[]), vec![0..10]);
         assert_eq!(uncovered(10, &[0..10]), Vec::<Range<usize>>::new());

@@ -159,8 +159,12 @@ impl Supervisor {
                 if dapc_obs::enabled() {
                     metrics::spawns().inc();
                 }
-                // dapc-allow(wall-clock): worker start time drives retry backoff, never report bytes
-                running.push((task, attempt, child, Instant::now()));
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "worker start time drives retry backoff, never report bytes"
+                )]
+                let started = Instant::now();
+                running.push((task, attempt, child, started));
             }
             // Poll for any exit or straggler; workers are independent
             // processes, so a short sleep between polls costs nothing

@@ -233,15 +233,21 @@ impl Daemon {
         let mut handlers = Vec::new();
         for i in 0..self.cfg.threads.max(1) {
             let shared = Arc::clone(&shared);
-            handlers.push(
-                std::thread::Builder::new()
-                    .name(format!("dapc-handler-{i}"))
-                    .spawn(move || handler_loop(&shared))?,
-            );
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "connection handlers are supervisor infrastructure, not solve work"
+            )]
+            let handler = std::thread::Builder::new()
+                .name(format!("dapc-handler-{i}"))
+                .spawn(move || handler_loop(&shared))?;
+            handlers.push(handler);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the deadline watchdog is supervisor infrastructure, not solve work"
+        )]
         let watchdog = shared.deadline.is_some().then(|| {
             let shared = Arc::clone(&shared);
-            // dapc-allow(thread-spawn): the deadline watchdog is supervisor infrastructure, not solve work
             std::thread::spawn(move || watchdog_loop(&shared))
         });
         let queue_cap = self.cfg.queue.max(1);
@@ -257,7 +263,10 @@ impl Daemon {
                     if dapc_chaos::roll("daemon.accept").is_some() {
                         continue;
                     }
-                    // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+                    )]
                     let mut q = shared.queue.lock().expect("daemon queue");
                     if q.len() >= queue_cap {
                         drop(q);
@@ -309,7 +318,10 @@ impl Daemon {
 fn handler_loop(shared: &Shared) {
     loop {
         let popped = {
-            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+            #[expect(
+                clippy::expect_used,
+                reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+            )]
             let mut q = shared.queue.lock().expect("daemon queue");
             loop {
                 if let Some(s) = q.pop_front() {
@@ -319,10 +331,13 @@ fn handler_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+                )]
                 let (guard, _timeout) = shared
                     .wake
                     .wait_timeout(q, Duration::from_millis(100))
-                    // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
                     .expect("daemon queue");
                 q = guard;
             }
@@ -345,9 +360,15 @@ fn watchdog_loop(shared: &Shared) {
     // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
     while !shared.drained.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(25));
-        // dapc-allow(wall-clock): deadline sweeps are client-visible timeouts, never report bytes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline sweeps are client-visible timeouts, never report bytes"
+        )]
         let now = Instant::now();
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
         let mut watch = shared.watch.lock().expect("daemon deadline registry");
         watch.retain(|_id, (due, stream)| {
             if *due <= now {
@@ -371,6 +392,14 @@ struct DeadlineGuard<'a> {
 
 impl<'a> DeadlineGuard<'a> {
     fn register(shared: &'a Shared, stream: &UnixStream) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "request deadline registration, never report bytes"
+        )]
         let id = shared.deadline.and_then(|budget| {
             let handle = stream.try_clone().ok()?;
             // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
@@ -378,9 +407,7 @@ impl<'a> DeadlineGuard<'a> {
             shared
                 .watch
                 .lock()
-                // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
                 .expect("daemon deadline registry")
-                // dapc-allow(wall-clock): request deadline registration, never report bytes
                 .insert(id, (Instant::now() + budget, handle));
             Some(id)
         });
@@ -389,12 +416,15 @@ impl<'a> DeadlineGuard<'a> {
 }
 
 impl Drop for DeadlineGuard<'_> {
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+    )]
     fn drop(&mut self) {
         if let Some(id) = self.id {
             self.shared
                 .watch
                 .lock()
-                // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
                 .expect("daemon deadline registry")
                 .remove(&id);
         }
@@ -457,7 +487,10 @@ fn serve_connection(shared: &Shared, mut stream: UnixStream) -> io::Result<()> {
         // Latency covers the whole service of the request, including
         // writing the reply frames. Shutdown is excluded: its timer
         // would never be read.
-        // dapc-allow(wall-clock): request-latency telemetry only, gated on dapc_obs::enabled
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "request-latency telemetry only, gated on dapc_obs::enabled"
+        )]
         let started = dapc_obs::enabled().then(Instant::now);
         let kind = match request {
             Request::Ping => {
@@ -553,10 +586,16 @@ fn stream_solve(
             micros: r.micros,
         }
         .to_bytes();
-        // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+        )]
         let mut failed = hook_failed.lock().expect("daemon sink failure flag");
         if failed.is_none() {
-            // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
+            #[expect(
+                clippy::expect_used,
+                reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+            )]
             let mut sink = hook_sink.lock().expect("daemon sink");
             if let Err(e) = write_frame(&mut *sink, &frame) {
                 *failed = Some(e);
@@ -567,8 +606,12 @@ fn stream_solve(
         .jobs_solved
         // ordering: SeqCst — daemon control plane; total order over throughput off the hot path
         .fetch_add(part.jobs as u64, Ordering::SeqCst);
-    // dapc-allow(panic): poisoned only if a sibling worker already panicked; propagate that crash
-    if let Some(e) = failed.lock().expect("daemon sink failure flag").take() {
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned only if a sibling worker already panicked; propagate that crash"
+    )]
+    let sink_error = failed.lock().expect("daemon sink failure flag").take();
+    if let Some(e) = sink_error {
         return Err(e);
     }
     // A request range is one contiguous span, so the aggregator can

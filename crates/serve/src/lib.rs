@@ -43,8 +43,9 @@
 //! runtime's snapshots: all-or-nothing loads, truncation at any byte is
 //! an `Err`, and no length field ever drives an allocation.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// panic: fallibility flows through the exit triage, never a panic in a
+// library path; tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod checkpoint;
 mod coordinator;

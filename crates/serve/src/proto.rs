@@ -209,6 +209,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 
 impl Request {
     /// Encodes the request as one frame body.
+    #[expect(clippy::expect_used, reason = "writing to a Vec cannot fail")]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Vec::new();
         let r: io::Result<()> = (|| {
@@ -229,7 +230,6 @@ impl Request {
             }
             Ok(())
         })();
-        // dapc-allow(panic): writing to a Vec cannot fail
         r.expect("writing to a Vec cannot fail");
         w
     }
@@ -267,6 +267,7 @@ impl Request {
 
 impl Response {
     /// Encodes the response as one frame body.
+    #[expect(clippy::expect_used, reason = "writing to a Vec cannot fail")]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Vec::new();
         let r: io::Result<()> = (|| {
@@ -342,7 +343,6 @@ impl Response {
             }
             Ok(())
         })();
-        // dapc-allow(panic): writing to a Vec cannot fail
         r.expect("writing to a Vec cannot fail");
         w
     }

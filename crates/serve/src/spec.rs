@@ -557,10 +557,10 @@ impl CorpusSpec {
     }
 
     /// The spec's canonical bytes (a `Vec`-backed [`CorpusSpec::save_to`]).
+    #[expect(clippy::expect_used, reason = "writing to a Vec cannot fail")]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
         self.save_to(&mut bytes)
-            // dapc-allow(panic): writing to a Vec cannot fail
             .expect("writing a spec to a Vec cannot fail");
         bytes
     }

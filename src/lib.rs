@@ -72,9 +72,6 @@
 //! | [`lower`] | Appendix B lower-bound machinery |
 //! | [`serve`] | fault-tolerant sweep orchestration + the solve daemon |
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use dapc_conc as conc;
 pub use dapc_core as core;
 pub use dapc_decomp as decomp;
