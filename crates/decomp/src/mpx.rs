@@ -47,6 +47,10 @@ impl MpxClustering {
 ///     assert_ne!(c.center_of[u as usize], c.center_of[v as usize]);
 /// }
 /// ```
+///
+/// # Panics
+///
+/// Panics unless `lambda` is positive and finite and `n_tilde > 1`.
 pub fn mpx(g: &Graph, lambda: f64, n_tilde: f64, rng: &mut StdRng) -> MpxClustering {
     let n = g.n();
     let shifts = draw_shifts(n, lambda, n_tilde, rng, None);
@@ -132,5 +136,11 @@ mod tests {
             .filter(|&(u, v)| c.center_of[u as usize] != c.center_of[v as usize])
             .count();
         assert_eq!(recount, c.cut_edges.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "n_tilde must exceed 1")]
+    fn n_tilde_at_most_one_is_rejected() {
+        mpx(&gen::path(4), 0.3, 1.0, &mut gen::seeded_rng(9));
     }
 }

@@ -11,18 +11,44 @@
 //! * Elkin–Neiman: the top **2** labels (delete if they are within 1);
 //! * sparse cover: **all** labels within 1 of the maximum (join all).
 //!
-//! All three reduce to a best-first (max-heap) multi-source propagation in
-//! which values decrease by exactly 1 per hop; the heap therefore pops in
-//! globally non-increasing value order, so the first pop of a
-//! `(vertex, source)` pair is that source's true `m` value at that vertex,
-//! and per-vertex pruning is safe (a label dominated at `v` stays dominated
-//! downstream of `v`).
+//! All three are one multi-source propagation that visits
+//! `(value, source, vertex)` entries in non-increasing value order, equal
+//! values source-ascending. A vertex admits a source at most once, so its
+//! first entry of a source carries that source's true `m` value there, and
+//! per-vertex pruning is safe: a label dominated at `v` stays dominated
+//! downstream of `v`.
+//!
+//! A label loses exactly 1 per hop, so that order needs no priority queue.
+//! As in the shifted-start BFS of Miller, Peng and Xu ("Parallel graph
+//! decompositions using random shifts", arXiv 1307.3692), entries come
+//! from two queues: the **seeds**, one per alive vertex sorted once by
+//! `(shift desc, source asc)`, and a FIFO of **relays** `(value − 1,
+//! source, neighbour)`. Each step takes whichever head comes first. The
+//! FIFO stays in order by induction: entries leave in order, so the
+//! relays they push are non-increasing in value, and pops of one value
+//! leave source-ascending, so the relays of one value are pushed
+//! source-ascending too. The order of vertices within one `(value,
+//! source)` class changes no label, because every vertex admits a source
+//! at most once.
+//!
+//! Floating point bends this induction in two places, both handled:
+//!
+//! * two *different* parent values can round to the same `value − 1`
+//!   (e.g. `1e-20 − 1 == 2e-20 − 1`), so one run of equal-valued relays
+//!   can hold its sources out of order. A run is complete by the time it
+//!   holds the largest value left; it is then checked and, only if
+//!   unsorted, stable-sorted by source;
+//! * above `2^53` in magnitude `value − 1 == value`: a relay keeps the
+//!   key of the entry that pushed it, so it goes to the *front* of the
+//!   FIFO, where that key belongs.
+//!
+//! Label values are computed by the same `value − 1.0` steps as a
+//! best-first heap would, so they keep their bits.
 
 use dapc_conc::dist::Exponential;
-use dapc_graph::{Graph, Vertex};
+use dapc_graph::{Graph, Hypergraph, Vertex};
 use rand::rngs::StdRng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// A label: source `u` reaching some vertex with value `m_u = T_u − dist`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,32 +57,6 @@ pub struct Label {
     pub source: Vertex,
     /// `T_source − dist(source, here)`.
     pub value: f64,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct HeapEntry {
-    value: f64,
-    source: Vertex,
-    vertex: Vertex,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on value; tie-break on (source, vertex) for determinism.
-        self.value
-            .partial_cmp(&other.value)
-            .expect("shift values are finite")
-            .then_with(|| other.source.cmp(&self.source))
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// How many labels each vertex retains.
@@ -68,8 +68,27 @@ pub enum Keep {
     WithinSlackOfBest(f64),
 }
 
+impl Keep {
+    /// Whether a vertex holding `kept` (best first) admits `source`'s
+    /// label of `value`: the policy has room and the source is new there.
+    fn admits(self, kept: &[Label], source: Vertex, value: f64) -> bool {
+        let room = match self {
+            Keep::Top(k) => kept.len() < k,
+            Keep::WithinSlackOfBest(slack) => {
+                kept.first().is_none_or(|best| value >= best.value - slack)
+            }
+        };
+        room && kept.iter().all(|l| l.source != source)
+    }
+}
+
 /// Draws the capped exponential shifts of Lemma C.1: `T_v ~ Exp(λ)` with
 /// values `≥ 4·ln ñ / λ` reset to zero. Dead vertices get 0.
+///
+/// # Panics
+///
+/// Panics unless `lambda` is positive and finite and `n_tilde > 1` (at
+/// `ñ ≤ 1` the cap is not positive and every shift would reset to 0).
 pub fn draw_shifts(
     n: usize,
     lambda: f64,
@@ -77,6 +96,7 @@ pub fn draw_shifts(
     rng: &mut StdRng,
     alive: Option<&[bool]>,
 ) -> Vec<f64> {
+    assert!(n_tilde > 1.0, "n_tilde must exceed 1");
     let exp = Exponential::new(lambda);
     let cap = 4.0 * n_tilde.ln() / lambda;
     (0..n)
@@ -97,59 +117,152 @@ pub fn draw_shifts(
 /// relayed to neighbours with value − 1; labels that fall outside the keep
 /// policy at a vertex are pruned there (and, by the monotonicity argument
 /// in the module docs, everywhere downstream).
+///
+/// # Panics
+///
+/// Panics if `shifts.len() != g.n()` or an alive vertex's shift is not
+/// finite.
 pub fn propagate(g: &Graph, shifts: &[f64], keep: Keep, alive: Option<&[bool]>) -> Vec<Vec<Label>> {
     assert_eq!(shifts.len(), g.n());
+    propagate_by(shifts, keep, alive, |v| g.neighbors(v).iter().copied())
+}
+
+/// [`propagate`] in the primal metric of `h`: a label hops from a vertex
+/// to every other member of its alive incident hyperedges. Dead vertices
+/// neither seed nor relay, and dead hyperedges carry nothing.
+///
+/// # Panics
+///
+/// Panics if `shifts.len() != h.n()` or an alive vertex's shift is not
+/// finite.
+pub fn propagate_hypergraph(
+    h: &Hypergraph,
+    shifts: &[f64],
+    keep: Keep,
+    alive_vertices: Option<&[bool]>,
+    alive_edges: Option<&[bool]>,
+) -> Vec<Vec<Label>> {
+    assert_eq!(shifts.len(), h.n());
+    propagate_by(shifts, keep, alive_vertices, |v| {
+        h.incident_edges(v)
+            .iter()
+            .filter(move |&&e| alive_edges.is_none_or(|a| a[e as usize]))
+            .flat_map(move |&e| h.edge(e).iter().copied().filter(move |&w| w != v))
+    })
+}
+
+/// One queued entry: `source`'s label reaching `vertex` with `value`.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    value: f64,
+    source: Vertex,
+    vertex: Vertex,
+}
+
+/// The two-queue engine behind [`propagate`] and [`propagate_hypergraph`];
+/// `neighbours(v)` lists the vertices one hop from `v`, dead ones included.
+fn propagate_by<I: Iterator<Item = Vertex>>(
+    shifts: &[f64],
+    keep: Keep,
+    alive: Option<&[bool]>,
+    neighbours: impl Fn(Vertex) -> I,
+) -> Vec<Vec<Label>> {
+    let n = shifts.len();
     let is_alive = |v: Vertex| alive.is_none_or(|a| a[v as usize]);
-    let n = g.n();
+    let mut seeds: Vec<Entry> = (0..n as Vertex)
+        .filter(|&v| is_alive(v))
+        .map(|v| Entry {
+            value: shifts[v as usize],
+            source: v,
+            vertex: v,
+        })
+        .collect();
+    assert!(
+        seeds.iter().all(|s| s.value.is_finite()),
+        "shift values must be finite"
+    );
+    // `partial_cmp`, not `total_cmp`: −0.0 and 0.0 are one value.
+    seeds.sort_unstable_by(|a, b| {
+        b.value
+            .partial_cmp(&a.value)
+            .expect("shift values are finite")
+            .then(a.source.cmp(&b.source))
+    });
     let mut labels: Vec<Vec<Label>> = vec![Vec::new(); n];
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    for v in 0..n as Vertex {
-        if is_alive(v) {
-            heap.push(HeapEntry {
-                value: shifts[v as usize],
-                source: v,
-                vertex: v,
-            });
-        }
-    }
-    while let Some(HeapEntry {
-        value,
-        source,
-        vertex,
-    }) = heap.pop()
-    {
-        let kept = &mut labels[vertex as usize];
-        // Drop when the policy is already saturated or the source known.
-        let admissible = match keep {
-            Keep::Top(k) => kept.len() < k,
-            Keep::WithinSlackOfBest(slack) => {
-                kept.first().is_none_or(|best| value >= best.value - slack)
+    let mut relays: VecDeque<Entry> = VecDeque::new();
+    let mut next_seed = 0;
+    // The value of the front relay run last put in source order.
+    let mut settled = f64::NAN;
+    loop {
+        let seed = seeds.get(next_seed);
+        let relay_first = match relays.front().map(|r| r.value) {
+            None => false,
+            Some(value) if seed.is_some_and(|s| s.value > value) => false,
+            Some(value) => {
+                // No entry left exceeds `value`, so every relay of this
+                // value is already queued: the run is complete.
+                if value != settled {
+                    settle_front_run(&mut relays);
+                    settled = value;
+                }
+                seed.is_none_or(|s| value > s.value || relays[0].source <= s.source)
             }
         };
-        if !admissible || kept.iter().any(|l| l.source == source) {
+        let entry = if relay_first {
+            relays.pop_front()
+        } else {
+            next_seed += 1;
+            seed.copied()
+        };
+        let Some(Entry {
+            value,
+            source,
+            vertex,
+        }) = entry
+        else {
+            break;
+        };
+        if !keep.admits(&labels[vertex as usize], source, value) {
             continue;
         }
-        kept.push(Label { source, value });
-        // Relay. Values below any plausible future threshold could be
-        // pruned here; one extra hop of dead labels is cheap and keeps the
-        // code obviously correct.
-        for &w in g.neighbors(vertex) {
-            if is_alive(w) {
-                heap.push(HeapEntry {
-                    value: value - 1.0,
-                    source,
-                    vertex: w,
-                });
+        labels[vertex as usize].push(Label { source, value });
+        // Relay, skipping neighbours that already refuse the label: a
+        // vertex that refuses a label refuses it for good.
+        let next = value - 1.0;
+        for w in neighbours(vertex)
+            .filter(|&w| is_alive(w) && keep.admits(&labels[w as usize], source, next))
+        {
+            let relay = Entry {
+                value: next,
+                source,
+                vertex: w,
+            };
+            if next == value {
+                relays.push_front(relay);
+            } else {
+                relays.push_back(relay);
             }
         }
     }
     labels
 }
 
+/// Stable-sorts the run of equal-valued relays at the front of `relays`
+/// by source, if it is not in source order already.
+fn settle_front_run(relays: &mut VecDeque<Entry>) {
+    let Some(&Entry { value, .. }) = relays.front() else {
+        return;
+    };
+    let run = relays.iter().take_while(|r| r.value == value).count();
+    if !relays.range(..run).is_sorted_by_key(|r| r.source) {
+        relays.make_contiguous()[..run].sort_by_key(|r| r.source);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dapc_graph::gen;
+    use dapc_graph::{gen, Hypergraph};
 
     /// Labels on a path with hand-picked shifts.
     #[test]
@@ -224,6 +337,45 @@ mod tests {
         assert_eq!(labels[2].len(), 1);
         assert_eq!(labels[2][0].source, 2);
         assert!(labels[1].is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "shift values must be finite")]
+    fn propagate_rejects_a_nan_shift() {
+        propagate(&gen::path(3), &[0.0, f64::NAN, 1.0], Keep::Top(1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "shift values must be finite")]
+    fn propagate_hypergraph_rejects_an_infinite_shift() {
+        let h = Hypergraph::new(3, vec![vec![0, 1, 2]]);
+        let shifts = [f64::INFINITY, 0.0, 0.0];
+        propagate_hypergraph(&h, &shifts, Keep::WithinSlackOfBest(1.0), None, None);
+    }
+
+    #[test]
+    fn dead_vertices_may_carry_any_shift() {
+        let alive = [true, false, true];
+        let labels = propagate(
+            &gen::path(3),
+            &[1.0, f64::NAN, 0.0],
+            Keep::Top(2),
+            Some(&alive),
+        );
+        assert!(labels[1].is_empty());
+        assert_eq!(
+            labels[0],
+            [Label {
+                source: 0,
+                value: 1.0
+            }]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "n_tilde must exceed 1")]
+    fn draw_shifts_rejects_n_tilde_at_most_one() {
+        draw_shifts(5, 1.0, 1.0, &mut gen::seeded_rng(1), None);
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //! This is the engine of the covering algorithm (§5): local covering
 //! solutions on the clusters are OR-combined (Lemma C.3), and the
 //! multiplicity bound caps the overcounting.
+//!
+//! The labels come from the propagation engine that Elkin–Neiman and MPX
+//! use ([`crate::shift`]), run in the primal metric of the hypergraph with
+//! [`Keep::WithinSlackOfBest`]`(1.0)`: a label hops to every other member
+//! of each alive incident hyperedge.
 
+use crate::shift::{draw_shifts, propagate_hypergraph, Keep};
 use dapc_graph::{EdgeId, Hypergraph, Vertex};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A sparse cover: overlapping clusters covering every hyperedge.
 #[derive(Clone, Debug)]
@@ -107,31 +111,6 @@ impl SparseCover {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct HeapEntry {
-    value: f64,
-    source: Vertex,
-    vertex: Vertex,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.value
-            .partial_cmp(&other.value)
-            .expect("finite values")
-            .then_with(|| other.source.cmp(&self.source))
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Computes a sparse cover of the alive part of `h` (Lemma C.2) with rate
 /// `lambda` and size hint `n_tilde`.
 ///
@@ -146,6 +125,10 @@ impl PartialOrd for HeapEntry {
 /// let cover = sparse_cover(&h, 0.3, 36.0, &mut gen::seeded_rng(3), None, None);
 /// assert!(cover.uncovered_edges(&h, None, None).is_empty());
 /// ```
+///
+/// # Panics
+///
+/// Panics unless `lambda` is positive and finite and `n_tilde > 1`.
 pub fn sparse_cover(
     h: &Hypergraph,
     lambda: f64,
@@ -155,55 +138,21 @@ pub fn sparse_cover(
     alive_edges: Option<&[bool]>,
 ) -> SparseCover {
     let n = h.n();
-    let v_ok = |v: Vertex| alive_vertices.is_none_or(|a| a[v as usize]);
-    let e_ok = |e: EdgeId| alive_edges.is_none_or(|a| a[e as usize]);
-    let shifts = crate::shift::draw_shifts(n, lambda, n_tilde, rng, alive_vertices);
-    // Threshold-pruned multi-label propagation in the primal metric.
-    let mut labels: Vec<Vec<(Vertex, f64)>> = vec![Vec::new(); n];
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    for v in 0..n as Vertex {
-        if v_ok(v) {
-            heap.push(HeapEntry {
-                value: shifts[v as usize],
-                source: v,
-                vertex: v,
-            });
-        }
-    }
-    while let Some(HeapEntry {
-        value,
-        source,
-        vertex,
-    }) = heap.pop()
-    {
-        let kept = &mut labels[vertex as usize];
-        let admissible = kept.first().is_none_or(|&(_, best)| value >= best - 1.0);
-        if !admissible || kept.iter().any(|&(s, _)| s == source) {
-            continue;
-        }
-        kept.push((source, value));
-        for &e in h.incident_edges(vertex) {
-            if !e_ok(e) {
-                continue;
-            }
-            for &w in h.edge(e) {
-                if w != vertex && v_ok(w) {
-                    heap.push(HeapEntry {
-                        value: value - 1.0,
-                        source,
-                        vertex: w,
-                    });
-                }
-            }
-        }
-    }
+    let shifts = draw_shifts(n, lambda, n_tilde, rng, alive_vertices);
+    let labels = propagate_hypergraph(
+        h,
+        &shifts,
+        Keep::WithinSlackOfBest(1.0),
+        alive_vertices,
+        alive_edges,
+    );
     // Group into clusters by source.
     let mut cluster_id: std::collections::BTreeMap<Vertex, u32> = Default::default();
     let mut clusters: Vec<Vec<Vertex>> = Vec::new();
     let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
     for v in 0..n {
-        for &(s, _) in &labels[v] {
-            let id = *cluster_id.entry(s).or_insert_with(|| {
+        for label in &labels[v] {
+            let id = *cluster_id.entry(label.source).or_insert_with(|| {
                 clusters.push(Vec::new());
                 (clusters.len() - 1) as u32
             });
@@ -339,5 +288,12 @@ mod tests {
         assert!(cover
             .uncovered_edges(&h, Some(&alive_v), Some(&alive_e))
             .is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "n_tilde must exceed 1")]
+    fn n_tilde_at_most_one_is_rejected() {
+        let h = Hypergraph::from_graph(&gen::path(4));
+        sparse_cover(&h, 0.4, 0.5, &mut gen::seeded_rng(28), None, None);
     }
 }
