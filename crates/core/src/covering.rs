@@ -14,8 +14,9 @@
 //! exact local solutions of the isolated regions, and the exact local
 //! solutions of the Lemma C.2 cover of the residual (Lemma C.3).
 
+use crate::packing::bucket_by_component;
 use crate::params::PcParams;
-use crate::prep::{prepare, Preparation, SharedSubsetCache, SubsetSolver};
+use crate::prep::{collect_sorted, prepare, Preparation, SharedSubsetCache, SubsetSolver};
 use dapc_conc::dist::bernoulli;
 use dapc_graph::{BallScratch, Hypergraph, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
@@ -124,8 +125,13 @@ pub fn approximate_covering_cached(
     let mut alive_v = vec![true; n];
     let mut alive_e = vec![true; m];
     let mut fixed_one = vec![false; n];
+    // Buffers shared by every carve: the ball scratch, the sorted ball,
+    // the lifted local solution and the two-layer labels. `chosen` and
+    // `layer_of` are cleared over the vertices each carve touched.
     let mut scratch = BallScratch::new();
-    let mut ball_mask = vec![false; n];
+    let mut ball_members: Vec<Vertex> = Vec::new();
+    let mut chosen = vec![false; n];
+    let mut layer_of = vec![u8::MAX; n];
 
     // Phase 1: t carving iterations.
     for i in 1..=params.t {
@@ -158,19 +164,19 @@ pub fn approximate_covering_cached(
             }
             let ball =
                 h.ball_with_scratch(&sources, b_i, Some(&alive_v), Some(&alive_e), &mut scratch);
-            for v in ball.iter() {
-                ball_mask[v as usize] = true;
-            }
-            let (_, local_sol, _) = solver.solve_mask(&ball_mask, Some(&fixed_one));
-            for v in ball.iter() {
-                ball_mask[v as usize] = false;
+            collect_sorted(&mut ball_members, ball.iter());
+            for v in solver
+                .solve(&ball_members, Some(&fixed_one))
+                .ones(&ball_members)
+            {
+                chosen[v as usize] = true;
             }
             // Pick the odd j* in [a_i, b_i] minimising the solution weight
             // on layers j*, j*+1.
             let layer_weight = |j: usize| -> u64 {
                 (j..=j + 1)
                     .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local_sol[v as usize])
+                    .filter(|&&v| chosen[v as usize])
                     .map(|&v| ilp.weight(v))
                     .sum()
             };
@@ -191,14 +197,16 @@ pub fn approximate_covering_cached(
             // Fix the local assignment on the two layers.
             for l in [j_star, j_star + 1] {
                 for &v in ball.level(l) {
-                    if local_sol[v as usize] && !fixed_one[v as usize] {
+                    if chosen[v as usize] && !fixed_one[v as usize] {
                         fixed_one[v as usize] = true;
                         stats.fixed_weight += ilp.weight(v);
                     }
                 }
             }
+            for &v in &ball_members {
+                chosen[v as usize] = false;
+            }
             // Delete the now-satisfied hyperedges crossing the two layers.
-            let mut layer_of = vec![u8::MAX; n];
             for &v in ball.level(j_star) {
                 layer_of[v as usize] = 0;
             }
@@ -224,6 +232,9 @@ pub fn approximate_covering_cached(
                     }
                 }
             }
+            for &v in ball.level(j_star).iter().chain(ball.level(j_star + 1)) {
+                layer_of[v as usize] = u8::MAX;
+            }
             // Remove the inner region.
             for v in ball.within(j_star) {
                 if alive_v[v as usize] {
@@ -244,16 +255,9 @@ pub fn approximate_covering_cached(
     ledger.begin_phase("removed-region local solves");
     ledger.charge_gather(2 * (params.t + 1) * 2 * params.r);
     ledger.end_phase();
-    let mut mask = vec![false; n];
-    for c in 0..k {
-        for v in 0..n {
-            mask[v] = removed[v] && comp[v] == c as u32;
-        }
-        let (_, local, _) = solver.solve_mask(&mask, Some(&fixed_one));
-        for v in 0..n {
-            if mask[v] && local[v] {
-                assignment[v] = true;
-            }
+    for members in bucket_by_component(&comp, k) {
+        for v in solver.solve(&members, Some(&fixed_one)).ones(&members) {
+            assignment[v as usize] = true;
         }
     }
 
@@ -273,20 +277,13 @@ pub fn approximate_covering_cached(
     ledger.charge_gather(2 * (params.t + 1) * 2 * params.r);
     ledger.end_phase();
     for cluster in &cover.clusters {
-        mask.iter_mut().for_each(|b| *b = false);
-        for &v in cluster {
-            mask[v as usize] = true;
-        }
         // Only constraints fully inside the cluster AND still alive matter;
-        // masked restriction keeps exactly those.
+        // the restriction keeps exactly those.
         // Deleted hyperedges are satisfied by `fixed_one` (checked at
         // deletion time), so the fixed-aware restriction drops them
         // automatically and the cluster solves only live constraints.
-        let (_, local, _) = solver.solve_mask(&mask, Some(&fixed_one));
-        for v in 0..n {
-            if mask[v] && local[v] {
-                assignment[v] = true;
-            }
+        for v in solver.solve(cluster, Some(&fixed_one)).ones(cluster) {
+            assignment[v as usize] = true;
         }
     }
 

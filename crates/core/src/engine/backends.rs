@@ -8,6 +8,7 @@ use crate::ensemble::packing_ensemble_cached;
 use crate::gkm::gkm_solve_cached;
 use crate::packing::approximate_packing_cached;
 use crate::prep::SubsetSolver;
+use dapc_graph::Vertex;
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_ilp::restrict::{covering_restriction, packing_restriction};
 use dapc_ilp::solvers::greedy;
@@ -112,10 +113,10 @@ impl Solver for Greedy {
     }
 
     fn solve(&self, ilp: &IlpInstance, _cfg: &SolveConfig, _rng: &mut StdRng) -> SolveReport {
-        let full = vec![true; ilp.n()];
+        let all: Vec<Vertex> = (0..ilp.n() as Vertex).collect();
         let assignment = match ilp.sense() {
-            Sense::Packing => greedy::greedy_packing(&packing_restriction(ilp, &full)),
-            Sense::Covering => greedy::greedy_covering(&covering_restriction(ilp, &full)),
+            Sense::Packing => greedy::greedy_packing(&packing_restriction(ilp, &all)),
+            Sense::Covering => greedy::greedy_covering(&covering_restriction(ilp, &all)),
         };
         let verdict = dapc_ilp::verify::check(ilp, &assignment);
         SolveReport {
@@ -145,12 +146,17 @@ impl Solver for BranchAndBound {
         // The full-instance solve goes through the subset memoiser so a
         // batch runtime's shared cache also covers this backend; with no
         // cache attached the result is identical to a direct solve.
-        let full = vec![true; ilp.n()];
+        let all: Vec<Vertex> = (0..ilp.n() as Vertex).collect();
         let mut solver = match &cfg.prep_cache {
             Some(c) => SubsetSolver::with_shared(ilp, cfg.budget, c.clone()),
             None => SubsetSolver::new(ilp, cfg.budget),
         };
-        let (_, assignment, exact) = solver.solve_mask(&full, None);
+        let entry = solver.solve(&all, None);
+        let exact = entry.exact;
+        let mut assignment = vec![false; ilp.n()];
+        for v in entry.ones(&all) {
+            assignment[v as usize] = true;
+        }
         let verdict = dapc_ilp::verify::check(ilp, &assignment);
         SolveReport {
             backend: self.name(),

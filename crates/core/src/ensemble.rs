@@ -109,27 +109,16 @@ pub fn packing_ensemble_cached(
     ledger.charge_gather((en.diameter_bound()).ceil() as usize);
     ledger.end_phase();
 
-    // Candidates: one feasible solution per decomposition. One mask
-    // buffer serves every cluster solve of every run.
+    // Candidates: one feasible solution per decomposition.
     let mut selection_count = vec![0u64; n];
     let mut best_candidate: Option<(u64, Vec<bool>)> = None;
     let mut candidate_values = Vec::with_capacity(t_runs);
-    let mut mask = vec![false; n];
     for _ in 0..t_runs {
         let d = elkin_neiman(&primal, &en, rng, None);
         let mut assignment = vec![false; n];
         for cluster in &d.clusters {
-            for &v in cluster {
-                mask[v as usize] = true;
-            }
-            let (_, local, _) = solver.solve_mask(&mask, None);
-            for v in 0..n {
-                if mask[v] && local[v] {
-                    assignment[v] = true;
-                }
-            }
-            for &v in cluster {
-                mask[v as usize] = false;
+            for v in solver.solve(cluster, None).ones(cluster) {
+                assignment[v as usize] = true;
             }
         }
         debug_assert!(ilp.is_feasible(&assignment));
@@ -159,17 +148,8 @@ pub fn packing_ensemble_cached(
     ledger.end_phase();
     let mut reweighted = vec![false; n];
     for cluster in &d.clusters {
-        for &v in cluster {
-            mask[v as usize] = true;
-        }
-        let (_, local, _) = solver.solve_mask(&mask, None);
-        for v in 0..n {
-            if mask[v] && local[v] {
-                reweighted[v] = true;
-            }
-        }
-        for &v in cluster {
-            mask[v as usize] = false;
+        for v in solver.solve(cluster, None).ones(cluster) {
+            reweighted[v as usize] = true;
         }
     }
     debug_assert!(ilp.is_feasible(&reweighted));

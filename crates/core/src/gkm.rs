@@ -10,9 +10,9 @@
 //! `O(k log n)` in `H`), the round complexity is `O(k·C·D) = O(log³ n/ε)`
 //! versus the paper's `Õ(log n/ε)` — the gap experiment E6 measures.
 
-use crate::prep::{SharedSubsetCache, SubsetSolver};
+use crate::prep::{collect_sorted, SharedSubsetCache, SubsetSolver};
 use dapc_decomp::network_decomposition::network_decomposition;
-use dapc_graph::{GraphBuilder, Hypergraph, Vertex};
+use dapc_graph::{BallScratch, GraphBuilder, Hypergraph, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
 use dapc_local::RoundLedger;
 use rand::rngs::StdRng;
@@ -118,6 +118,7 @@ pub fn gkm_solve_cached(
     let mut alive_e = vec![true; h.m()];
     let mut fixed_one = vec![false; n];
     let mut assignment = vec![false; n];
+    let mut carve = CarveScratch::new(n);
     let max_cluster_diameter = nd.max_weak_diameter(&power) as usize;
     for color in 0..nd.colors {
         ledger.begin_phase(format!("color {color}: gather + carve (k·D)"));
@@ -147,6 +148,7 @@ pub fn gkm_solve_cached(
                 &mut fixed_one,
                 &mut assignment,
                 &mut solver,
+                &mut carve,
             );
         }
     }
@@ -165,6 +167,7 @@ pub fn gkm_solve_cached(
             &mut fixed_one,
             &mut assignment,
             &mut solver,
+            &mut carve,
         );
     }
     let value = ilp.value(&assignment);
@@ -175,6 +178,31 @@ pub fn gkm_solve_cached(
         ledger,
         colors: nd.colors,
         all_solves_exact: solver.all_exact,
+    }
+}
+
+/// Buffers reused by every [`carve_cluster`] call of one solve: the ball
+/// traversal scratch, the sorted ball and inner region, the lifted local
+/// solution and the two-layer labels. `chosen` and `layer_of` are cleared
+/// over the vertices each carve touched, so a carve costs the ball, not
+/// `n`.
+struct CarveScratch {
+    ball: BallScratch,
+    members: Vec<Vertex>,
+    inner: Vec<Vertex>,
+    chosen: Vec<bool>,
+    layer_of: Vec<u8>,
+}
+
+impl CarveScratch {
+    fn new(n: usize) -> Self {
+        CarveScratch {
+            ball: BallScratch::new(),
+            members: Vec::new(),
+            inner: Vec::new(),
+            chosen: vec![false; n],
+            layer_of: vec![u8::MAX; n],
+        }
     }
 }
 
@@ -196,17 +224,23 @@ fn carve_cluster(
     fixed_one: &mut [bool],
     assignment: &mut [bool],
     solver: &mut SubsetSolver<'_>,
+    buf: &mut CarveScratch,
 ) {
-    let n = h.n();
-    let alive_snapshot: Vec<bool> = alive_v.to_vec();
-    let ball = h.ball(sources, params.k, Some(&alive_snapshot), Some(alive_e));
-    let mut ball_mask = vec![false; n];
-    for v in ball.iter() {
-        ball_mask[v as usize] = true;
-    }
+    let ball = h.ball_with_scratch(
+        sources,
+        params.k,
+        Some(&*alive_v),
+        Some(&*alive_e),
+        &mut buf.ball,
+    );
+    let members = &mut buf.members;
+    collect_sorted(members, ball.iter());
+    let chosen = &mut buf.chosen;
     match ilp.sense() {
         Sense::Packing => {
-            let (_, local, _) = solver.solve_mask(&ball_mask, None);
+            for v in solver.solve(members, None).ones(members) {
+                chosen[v as usize] = true;
+            }
             // Windows [j, j+2] with j ≡ j0 (mod 3) inside [2, k−1].
             let lo = 2usize.min(params.k.saturating_sub(1));
             let mut j_star = lo;
@@ -215,7 +249,7 @@ fn carve_cluster(
             while j + 2 <= params.k {
                 let w: u64 = (j..j + 3)
                     .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local[v as usize])
+                    .filter(|&&v| chosen[v as usize])
                     .map(|&v| ilp.weight(v))
                     .sum();
                 if w < best {
@@ -229,7 +263,7 @@ fn carve_cluster(
             }
             // Commit the solution inside N^{j*}(S); zero the middle layer.
             for v in ball.within(j_star) {
-                if local[v as usize] {
+                if chosen[v as usize] {
                     assignment[v as usize] = true;
                 }
                 alive_v[v as usize] = false;
@@ -239,7 +273,9 @@ fn carve_cluster(
             }
         }
         Sense::Covering => {
-            let (_, local, _) = solver.solve_mask(&ball_mask, Some(fixed_one));
+            for v in solver.solve(members, Some(fixed_one)).ones(members) {
+                chosen[v as usize] = true;
+            }
             // The window {j*, j*+1} must fit inside the ball (j*+1 ≤ k),
             // otherwise the default j* would sit on the ball boundary and
             // `within(j*)` would kill vertices whose outward constraints
@@ -253,7 +289,7 @@ fn carve_cluster(
             while j < params.k {
                 let w: u64 = (j..=j + 1)
                     .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local[v as usize])
+                    .filter(|&&v| chosen[v as usize])
                     .map(|&v| ilp.weight(v))
                     .sum();
                 if w < best {
@@ -266,7 +302,7 @@ fn carve_cluster(
                 j += 2;
             }
             // Fix the window, delete crossing hyperedges, solve inside.
-            let mut layer_of = vec![u8::MAX; n];
+            let layer_of = &mut buf.layer_of;
             for &v in ball.level(j_star) {
                 layer_of[v as usize] = 0;
             }
@@ -275,7 +311,7 @@ fn carve_cluster(
             }
             for l in [j_star, j_star + 1] {
                 for &v in ball.level(l) {
-                    if local[v as usize] {
+                    if chosen[v as usize] {
                         fixed_one[v as usize] = true;
                         assignment[v as usize] = true;
                     }
@@ -288,19 +324,22 @@ fn carve_cluster(
                     }
                 }
             }
+            for &v in ball.level(j_star).iter().chain(ball.level(j_star + 1)) {
+                layer_of[v as usize] = u8::MAX;
+            }
             // Inner region: solve with fixed variables honoured.
-            let mut inner = vec![false; n];
-            for v in ball.within(j_star) {
-                inner[v as usize] = true;
+            let inner = &mut buf.inner;
+            collect_sorted(inner, ball.within(j_star));
+            for &v in inner.iter() {
                 alive_v[v as usize] = false;
             }
-            let (_, inner_sol, _) = solver.solve_mask(&inner, Some(fixed_one));
-            for v in 0..n {
-                if inner[v] && inner_sol[v] {
-                    assignment[v] = true;
-                }
+            for v in solver.solve(inner, Some(fixed_one)).ones(inner) {
+                assignment[v as usize] = true;
             }
         }
+    }
+    for &v in members.iter() {
+        chosen[v as usize] = false;
     }
 }
 

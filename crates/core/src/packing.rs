@@ -19,7 +19,7 @@
 //! optima is a (1 − ε)-approximation.
 
 use crate::params::PcParams;
-use crate::prep::{prepare, Preparation, SharedSubsetCache, SubsetSolver};
+use crate::prep::{collect_sorted, prepare, Preparation, SharedSubsetCache, SubsetSolver};
 use dapc_conc::dist::bernoulli;
 use dapc_graph::{BallScratch, Hypergraph, Vertex};
 use dapc_ilp::instance::{IlpInstance, Sense};
@@ -123,12 +123,15 @@ pub fn approximate_packing_cached(
     let prep: Preparation = prepare(ilp, h, &primal, params, rng, &mut solver);
 
     // Phases 1 and 2: cluster-driven carving. `alive[v]` = still in the
-    // residual hypergraph (not removed, not deleted). The ball scratch and
-    // mask buffer are shared across every carve of every iteration.
+    // residual hypergraph (not removed, not deleted). The ball scratch,
+    // the sorted ball and the lifted local solution are shared across
+    // every carve of every iteration; `chosen` is cleared over the ball
+    // after each carve.
     let mut alive = vec![true; n];
     let mut deleted = vec![false; n];
     let mut scratch = BallScratch::new();
-    let mut ball_mask = vec![false; n];
+    let mut ball_members: Vec<Vertex> = Vec::new();
+    let mut chosen = vec![false; n];
     for i in 1..=params.t + 1 {
         let is_phase2 = i == params.t + 1;
         let (a_i, b_i) = params.packing_interval(i);
@@ -163,19 +166,16 @@ pub fn approximate_packing_cached(
                 .filter(|&v| alive[v as usize])
                 .collect();
             let ball = h.ball_with_scratch(&sources, b_i - 1, Some(&alive), None, &mut scratch);
-            for v in ball.iter() {
-                ball_mask[v as usize] = true;
-            }
-            let (_, local_solution, _) = solver.solve_mask(&ball_mask, None);
-            for v in ball.iter() {
-                ball_mask[v as usize] = false;
+            collect_sorted(&mut ball_members, ball.iter());
+            for v in solver.solve(&ball_members, None).ones(&ball_members) {
+                chosen[v as usize] = true;
             }
             // Window weights: W(P^local, S_j ∪ S_{j+1} ∪ S_{j+2}) for
             // j ≡ a_i (mod 3).
             let window_weight = |j: usize| -> u64 {
                 (j..j + 3)
                     .flat_map(|l| ball.level(l).iter())
-                    .filter(|&&v| local_solution[v as usize])
+                    .filter(|&&v| chosen[v as usize])
                     .map(|&v| ilp.weight(v))
                     .sum()
             };
@@ -198,6 +198,9 @@ pub fn approximate_packing_cached(
             }
             for v in ball.within(j_star) {
                 to_remove[v as usize] = true;
+            }
+            for &v in &ball_members {
+                chosen[v as usize] = false;
             }
         }
         for v in 0..n {
@@ -238,16 +241,9 @@ pub fn approximate_packing_cached(
     ledger.charge_gather(2 * (params.t + 2) * 3 * (params.r + 1));
     ledger.end_phase();
     let mut assignment = vec![false; n];
-    let mut mask = vec![false; n];
-    for c in 0..k {
-        for v in 0..n {
-            mask[v] = survivors[v] && comp[v] == c as u32;
-        }
-        let (_, local, _) = solver.solve_mask(&mask, None);
-        for v in 0..n {
-            if mask[v] && local[v] {
-                assignment[v] = true;
-            }
+    for members in bucket_by_component(&comp, k) {
+        for v in solver.solve(&members, None).ones(&members) {
+            assignment[v as usize] = true;
         }
     }
     stats.all_solves_exact = solver.all_exact;
@@ -262,6 +258,18 @@ pub fn approximate_packing_cached(
         ledger,
         stats,
     }
+}
+
+/// Members of each component `0..k` of a `comp` labelling (vertices
+/// outside every component carry `u32::MAX`), ascending within each.
+pub(crate) fn bucket_by_component(comp: &[u32], k: usize) -> Vec<Vec<Vertex>> {
+    let mut buckets = vec![Vec::new(); k];
+    for (v, &c) in comp.iter().enumerate() {
+        if let Some(bucket) = buckets.get_mut(c as usize) {
+            bucket.push(v as Vertex);
+        }
+    }
+    buckets
 }
 
 /// Connected components of the alive part of `h` in the primal metric.

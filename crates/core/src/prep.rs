@@ -16,14 +16,48 @@
 //! byte-identical to sequential execution: subset solves are
 //! deterministic functions of their key, the RNG is consumed only by the
 //! decomposition pass, and clusters are re-emitted in canonical order.
+//!
+//! # Annotation in `O(|C|)`
+//!
+//! Every subset solve takes its subset as a strictly ascending member
+//! list, keys it by an FNV-1a-128 fold over those members (see
+//! [`SubsetKey`]) and restricts the instance through the members'
+//! incidence lists (`dapc_ilp::restrict`), so its cost follows the subset
+//! and the constraints it touches, never `n` or `m`.
+//!
+//! The `S_C` balls are where that would still fail: at the radii the
+//! solvers use, `N^{8tR}(C)` is very often C's whole connected component,
+//! and a BFS would walk all of it for every cluster. So [`prepare`] first
+//! builds a whole-component certificate from the primal graph, once per
+//! call: component labels, each component's ascending members and its
+//! key, and BFS distances from up to four farthest-first pivots per
+//! component. For a cluster C inside one component K, `N^r(C) = K` holds
+//! when
+//!
+//! - `|K| ≤ r + 1`, since a connected graph on `|K|` vertices has
+//!   diameter at most `|K| − 1`; or
+//! - `ecc(x) + dist(x, c) ≤ r` for some member `c` and pivot `x`, since
+//!   then every `u ∈ K` has `dist(c, u) ≤ dist(c, x) + dist(x, u) ≤ r`
+//!   by the triangle inequality.
+//!
+//! A certified cluster costs `O(|C|)` and reuses the component's
+//! precomputed key and member list. Otherwise, and for clusters that span
+//! several components, the BFS ball runs as before. Either way the subset
+//! — and so its key, its solve and the annotation — is the same.
+//!
+//! Memoised entries ([`SubsetEntry`]) hold the value, the exactness flag
+//! and the assignment over the subset's members only; callers lift it
+//! over the member list they already hold.
 
 use crate::params::PcParams;
-use dapc_graph::{BallScratch, Hypergraph, Vertex};
+use crate::snapmagic::{seal, SealingReader};
+use dapc_graph::{BallScratch, Graph, Hypergraph, Vertex};
 use dapc_ilp::hash::{fnv1a_128_u32, FNV128_OFFSET};
 use dapc_ilp::instance::{IlpInstance, Sense};
-use dapc_ilp::restrict::packing_restriction;
+use dapc_ilp::restrict::{covering_restriction_with_fixed, packing_restriction};
 use dapc_ilp::solvers::{self, SolverBudget};
 use rand::rngs::StdRng;
+use std::collections::hash_map::Entry;
 #[expect(
     clippy::disallowed_types,
     reason = "digest-keyed lookup caches and dedup sets only; every snapshot path sorts keys before writing bytes"
@@ -67,10 +101,84 @@ mod metrics {
         static G: OnceLock<Gauge> = OnceLock::new();
         G.get_or_init(|| dapc_obs::gauge("core.subset_cache.bytes"))
     }
+
+    /// `S_C` balls answered by the whole-component certificate.
+    pub fn sc_certified() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| dapc_obs::counter("core.prep.sc_certified"))
+    }
+
+    /// `S_C` balls that needed a BFS.
+    pub fn sc_bfs() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| dapc_obs::counter("core.prep.sc_bfs"))
+    }
 }
 
-/// One memoised exact subset solve: `(value, global assignment, exact)`.
-type SubsetEntry = (u64, Vec<bool>, bool);
+/// One memoised exact subset solve: the local optimum's value, whether
+/// the solver proved it optimal, and its assignment over the subset's
+/// members only — bit `i` is the value of the `i`-th member in ascending
+/// order. Callers lift it over the member list they already hold
+/// ([`SubsetEntry::ones`]), so an entry costs `|S|/8` bytes, not `n`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SubsetEntry {
+    /// `W(OPT^local_S, S)` (for covering, net of the fixed-ones overlay).
+    pub value: u64,
+    /// Whether the exact solver proved optimality within its budget.
+    pub exact: bool,
+    /// Number of members the assignment covers.
+    len: usize,
+    /// `len` bits, LSB-first within each byte; padding bits are zero.
+    bits: Box<[u8]>,
+}
+
+impl SubsetEntry {
+    /// Packs the local solution `local` over `vars` into bits over
+    /// `members`. Both lists ascend and `vars ⊆ members`; members missing
+    /// from `vars` (covering's fixed ones) get a zero bit.
+    fn from_local(
+        value: u64,
+        exact: bool,
+        members: &[Vertex],
+        vars: &[Vertex],
+        local: &[bool],
+    ) -> Self {
+        let mut bits = vec![0u8; members.len().div_ceil(8)];
+        let mut j = 0;
+        for (i, &v) in members.iter().enumerate() {
+            if vars.get(j) == Some(&v) {
+                bits[i / 8] |= u8::from(local[j]) << (i % 8);
+                j += 1;
+            }
+        }
+        debug_assert_eq!(
+            j,
+            vars.len(),
+            "sub-instance variables lie outside the members"
+        );
+        SubsetEntry {
+            value,
+            exact,
+            len: members.len(),
+            bits: bits.into_boxed_slice(),
+        }
+    }
+
+    /// The members the solution sets to one, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` has a different length from the member list
+    /// the entry was solved for.
+    pub fn ones<'a>(&'a self, members: &'a [Vertex]) -> impl Iterator<Item = Vertex> + 'a {
+        assert_eq!(members.len(), self.len, "entry belongs to another subset");
+        members
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.bits[i / 8] >> (i % 8) & 1 == 1)
+            .map(|(_, &v)| v)
+    }
+}
 
 /// One sharded annotation result: the entry plus whether a warm family
 /// cache already held it (drives counter parity with sequential runs).
@@ -79,28 +187,32 @@ type ShardSlot = Option<(SubsetEntry, bool)>;
 /// The identity of one subset solve: a 128-bit FNV-1a digest of the
 /// subset (plus the fixed-variable overlay for covering sub-instances).
 ///
-/// Replaces the former `Vec<Vertex>` keys — a lookup now costs one fold
-/// over the mask and no allocation, and the digest is stable across runs
-/// and platforms (persisted warm-start formats can rely on it). At 128
-/// bits, a collision within one `(instance, budget)` family is out of
-/// reach for any realisable workload.
+/// A lookup costs one fold over the ascending members and no allocation,
+/// and the digest is stable across runs and platforms (persisted
+/// warm-start formats rely on it). At 128 bits, a collision within one
+/// `(instance, budget)` family is out of reach for any realisable
+/// workload.
 pub type SubsetKey = u128;
 
-/// Folds a subset mask (and optional fixed-ones overlay) into its
-/// [`SubsetKey`]. The separator distinguishes "no overlay" from "empty
+/// Folds a strictly ascending member list (and optional fixed-ones
+/// overlay, read at the members) into its [`SubsetKey`]: the members in
+/// order, then — with an overlay — a `u32::MAX` separator and the fixed
+/// members in order. The separator distinguishes "no overlay" from "empty
 /// overlay", mirroring the restriction functions' semantics.
-fn subset_key(mask: &[bool], fixed_ones: Option<&[bool]>) -> SubsetKey {
+fn member_key(members: &[Vertex], fixed_ones: Option<&[bool]>) -> SubsetKey {
+    debug_assert!(
+        members.windows(2).all(|w| w[0] < w[1]),
+        "members must be strictly ascending"
+    );
     let mut h = FNV128_OFFSET;
-    for (v, &m) in mask.iter().enumerate() {
-        if m {
-            h = fnv1a_128_u32(h, v as u32);
-        }
+    for &v in members {
+        h = fnv1a_128_u32(h, v);
     }
     if let Some(f) = fixed_ones {
         h = fnv1a_128_u32(h, u32::MAX); // separator
-        for (v, (&fv, &m)) in f.iter().zip(mask.iter()).enumerate() {
-            if fv && m {
-                h = fnv1a_128_u32(h, v as u32);
+        for &v in members {
+            if f[v as usize] {
+                h = fnv1a_128_u32(h, v);
             }
         }
     }
@@ -182,10 +294,10 @@ struct Slot {
     last_used: u64,
 }
 
-/// Approximate heap footprint of one memoised entry: the assignment mask
-/// plus fixed map/key overhead.
+/// Approximate heap footprint of one memoised entry: the packed
+/// assignment plus fixed map/key overhead.
 fn entry_bytes(entry: &SubsetEntry) -> usize {
-    entry.1.len() + std::mem::size_of::<SubsetKey>() + std::mem::size_of::<Slot>()
+    entry.bits.len() + std::mem::size_of::<SubsetKey>() + std::mem::size_of::<Slot>()
 }
 
 impl SharedSubsetCache {
@@ -359,12 +471,12 @@ impl SharedSubsetCache {
     }
 
     /// Writes a snapshot of every memoised entry to `w` in the versioned
-    /// binary warm-start format (see the module docs of
-    /// [`SNAPSHOT_MAGIC`]): entries sorted by [`SubsetKey`], each as
-    /// `key · value · exact · assignment` with the assignment bit-packed.
-    /// The keys are stable 128-bit FNV-1a digests, so a snapshot is valid
-    /// across runs and platforms for the same `(instance, budget)`
-    /// family.
+    /// binary warm-start format (see [`SNAPSHOT_MAGIC`]): entries sorted
+    /// by [`SubsetKey`], each as `key · value · exact · member count ·
+    /// member-local assignment` with the assignment bit-packed, then a
+    /// seal over every byte. The keys are stable 128-bit FNV-1a digests,
+    /// so a snapshot is valid across runs and platforms for the same
+    /// `(instance, budget)` family.
     ///
     /// Counters and capacity are *not* persisted — they describe a run,
     /// not the memo.
@@ -377,22 +489,18 @@ impl SharedSubsetCache {
         // Canonical byte stream: identical caches serialise identically
         // regardless of insertion order or stripe iteration order.
         entries.sort_unstable_by_key(|(k, _)| *k);
-        w.write_all(SNAPSHOT_MAGIC)?;
-        w.write_all(&(entries.len() as u64).to_le_bytes())?;
-        for (key, (value, assignment, exact)) in &entries {
-            w.write_all(&key.to_le_bytes())?;
-            w.write_all(&value.to_le_bytes())?;
-            w.write_all(&[u8::from(*exact)])?;
-            w.write_all(&(assignment.len() as u64).to_le_bytes())?;
-            for chunk in assignment.chunks(8) {
-                let mut byte = 0u8;
-                for (bit, &set) in chunk.iter().enumerate() {
-                    byte |= u8::from(set) << bit;
-                }
-                w.write_all(&[byte])?;
-            }
+        let mut buf = Vec::new();
+        buf.extend_from_slice(SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for (key, entry) in &entries {
+            buf.extend_from_slice(&key.to_le_bytes());
+            buf.extend_from_slice(&entry.value.to_le_bytes());
+            buf.push(u8::from(entry.exact));
+            buf.extend_from_slice(&(entry.len as u64).to_le_bytes());
+            buf.extend_from_slice(&entry.bits);
         }
-        Ok(())
+        seal(&mut buf);
+        w.write_all(&buf)
     }
 
     /// Merges a warm-start snapshot written by
@@ -402,18 +510,20 @@ impl SharedSubsetCache {
     /// transparent LRU policy to the loaded entries — so a warm start can
     /// change counters and work done, but never a solver report.
     ///
-    /// Loading is **all-or-nothing**: the stream is fully parsed and
-    /// validated before the first entry is inserted, so a snapshot that
-    /// turns out to be truncated or corrupt partway through leaves the
-    /// cache exactly as it was — an `Err` never half-loads.
+    /// Loading is **all-or-nothing**: the stream is fully parsed and its
+    /// seal checked before the first entry is inserted, so a snapshot
+    /// that turns out to be truncated or corrupt partway through leaves
+    /// the cache exactly as it was — an `Err` never half-loads.
     ///
     /// # Errors
     ///
     /// Fails with [`io::ErrorKind::InvalidData`] on a bad magic, an
-    /// unsupported format version or a corrupt field, and with
-    /// [`io::ErrorKind::UnexpectedEof`] on a stream truncated at any
-    /// field boundary, besides propagating reader errors.
-    pub fn load_into<R: Read>(&self, mut r: R) -> io::Result<usize> {
+    /// unsupported format version (version 1 snapshots held `n`-length
+    /// assignments and are not read), a corrupt field or a seal mismatch,
+    /// and with [`io::ErrorKind::UnexpectedEof`] on a stream truncated at
+    /// any field boundary, besides propagating reader errors.
+    pub fn load_into<R: Read>(&self, r: R) -> io::Result<usize> {
+        let mut r = SealingReader::new(r);
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if magic[..7] != SNAPSHOT_MAGIC[..7] {
@@ -453,13 +563,13 @@ impl SharedSubsetCache {
                     ))
                 }
             };
-            let bits = read_u64(&mut r)? as usize;
+            let len = read_u64(&mut r)? as usize;
             // Never trust a length field with an up-front allocation: a
             // corrupt header would otherwise drive a huge `Vec` request
             // (aborting the process) before the read could fail. Reading
             // to-end under `take` grows with the bytes actually present,
             // so truncation surfaces as the documented error instead.
-            let byte_len = bits.div_ceil(8) as u64;
+            let byte_len = len.div_ceil(8) as u64;
             let mut packed = Vec::new();
             r.by_ref().take(byte_len).read_to_end(&mut packed)?;
             if packed.len() as u64 != byte_len {
@@ -468,14 +578,21 @@ impl SharedSubsetCache {
                     format!("truncated assignment: {} of {byte_len} bytes", packed.len()),
                 ));
             }
-            // `bits <= 8 * packed.len()` now, so this allocation is
-            // bounded by the snapshot's real size.
-            let mut assignment = Vec::with_capacity(bits);
-            for bit in 0..bits {
-                assignment.push(packed[bit / 8] >> (bit % 8) & 1 == 1);
+            if !len.is_multiple_of(8) && packed.last().is_some_and(|&b| b >> (len % 8) != 0) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "nonzero padding bits in an assignment",
+                ));
             }
-            entries.push((key, (value, assignment, exact)));
+            let entry = SubsetEntry {
+                value,
+                exact,
+                len,
+                bits: packed.into_boxed_slice(),
+            };
+            entries.push((key, entry));
         }
+        r.verify_seal("subset-cache")?;
         for (key, entry) in entries {
             self.insert(key, entry);
         }
@@ -496,10 +613,12 @@ impl SharedSubsetCache {
 }
 
 /// Magic + version prefix of the persisted warm-start format: seven
-/// identifying bytes and a format version byte. The body is
+/// identifying bytes and a format version byte. The version 2 body is
 /// `entry count: u64` followed by sorted entries of
-/// `key: u128 · value: u64 · exact: u8 · assignment bits: u64 · packed
-/// assignment bytes (LSB-first)`, all integers little-endian.
+/// `key: u128 · value: u64 · exact: u8 · member count: u64 · packed
+/// member-local assignment (LSB-first, zero padding)`, all integers
+/// little-endian, and a 16-byte FNV-1a-128 seal over every preceding
+/// byte.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = crate::snapmagic::SUBSET_CACHE.bytes;
 
 fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
@@ -559,8 +678,6 @@ pub struct SubsetSolver<'a> {
     )]
     cache: HashMap<SubsetKey, SubsetEntry>,
     shared: Option<SharedSubsetCache>,
-    /// Reusable mask buffer for [`SubsetSolver::value_of`].
-    mask_buf: Vec<bool>,
     /// Whether every solve so far was exact.
     pub all_exact: bool,
 }
@@ -574,7 +691,6 @@ impl<'a> SubsetSolver<'a> {
             #[expect(clippy::disallowed_types, reason = "lookup-only memo (see field)")]
             cache: HashMap::new(),
             shared: None,
-            mask_buf: Vec::new(),
             all_exact: true,
         }
     }
@@ -589,13 +705,8 @@ impl<'a> SubsetSolver<'a> {
         shared: SharedSubsetCache,
     ) -> Self {
         SubsetSolver {
-            ilp,
-            budget,
-            #[expect(clippy::disallowed_types, reason = "lookup-only memo (see field)")]
-            cache: HashMap::new(),
             shared: Some(shared),
-            mask_buf: Vec::new(),
-            all_exact: true,
+            ..SubsetSolver::new(ilp, budget)
         }
     }
 
@@ -603,7 +714,7 @@ impl<'a> SubsetSolver<'a> {
     /// annotation pass hands worker results over with this), feeding
     /// `all_exact` exactly as a first compute would.
     fn preload(&mut self, key: SubsetKey, entry: SubsetEntry) {
-        if !entry.2 {
+        if !entry.exact {
             self.all_exact = false;
         }
         self.cache.insert(key, entry);
@@ -611,7 +722,7 @@ impl<'a> SubsetSolver<'a> {
 
     /// Value of a solve [`SubsetSolver::preload`]ed earlier — the sharded
     /// re-emit path reads cluster weights with this instead of rebuilding
-    /// masks and keys.
+    /// balls and keys.
     ///
     /// # Panics
     ///
@@ -620,67 +731,68 @@ impl<'a> SubsetSolver<'a> {
         self.cache
             .get(&key)
             .expect("sharded annotation preloaded every cluster key")
-            .0
+            .value
     }
 
-    /// Optimal local value and assignment on the subset (mask form). For
-    /// packing this is `P^local` (all constraints, zeros outside); for
-    /// covering `Q^local` (inside constraints only), honouring `fixed_ones`
-    /// at zero cost.
-    pub fn solve_mask(
+    /// The optimal local solution on the subset `members` (strictly
+    /// ascending). For packing this is `P^local` (all constraints, zeros
+    /// outside); for covering `Q^local` (inside constraints only),
+    /// honouring `fixed_ones` at zero cost. The entry's assignment is over
+    /// `members`; lift it with [`SubsetEntry::ones`].
+    pub fn solve(&mut self, members: &[Vertex], fixed_ones: Option<&[bool]>) -> &SubsetEntry {
+        self.solve_keyed(member_key(members, fixed_ones), members, fixed_ones)
+    }
+
+    /// [`SubsetSolver::solve`] with the key already folded — the
+    /// preparation's whole-component `S_C` reuses its component's key.
+    fn solve_keyed(
         &mut self,
-        mask: &[bool],
+        key: SubsetKey,
+        members: &[Vertex],
         fixed_ones: Option<&[bool]>,
-    ) -> (u64, Vec<bool>, bool) {
-        let key = subset_key(mask, fixed_ones);
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
-        }
-        // Per-run miss: try the cross-run family cache before solving.
-        // Shared hits must still feed `all_exact` — the inexact miss that
-        // populated the entry may have happened in a different run.
-        if let Some(hit) = self.shared.as_ref().and_then(|s| s.get(key)) {
-            if !hit.2 {
-                self.all_exact = false;
+    ) -> &SubsetEntry {
+        let SubsetSolver {
+            ilp,
+            budget,
+            cache,
+            shared,
+            all_exact,
+        } = self;
+        match cache.entry(key) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(slot) => {
+                // Per-run miss: try the cross-run family cache before
+                // solving. Shared hits must still feed `all_exact` — the
+                // inexact miss that populated the entry may have happened
+                // in a different run.
+                let entry = match shared.as_ref().and_then(|s| s.get(key)) {
+                    Some(hit) => hit,
+                    None => {
+                        let out = solve_subset(ilp, budget, members, fixed_ones);
+                        if let Some(shared) = shared {
+                            shared.insert(key, out.clone());
+                        }
+                        out
+                    }
+                };
+                if !entry.exact {
+                    *all_exact = false;
+                }
+                slot.insert(entry)
             }
-            self.cache.insert(key, hit.clone());
-            return hit;
         }
-        let out = solve_subset(self.ilp, &self.budget, mask, fixed_ones);
-        if !out.2 {
-            self.all_exact = false;
-        }
-        if let Some(shared) = &self.shared {
-            shared.insert(key, out.clone());
-        }
-        self.cache.insert(key, out.clone());
-        out
-    }
-
-    /// Convenience: optimal local value on a vertex list. Reuses an
-    /// internal mask buffer, so repeated calls allocate nothing.
-    pub fn value_of(&mut self, vertices: &[Vertex]) -> u64 {
-        let mut mask = std::mem::take(&mut self.mask_buf);
-        mask.clear();
-        mask.resize(self.ilp.n(), false);
-        for &v in vertices {
-            mask[v as usize] = true;
-        }
-        let value = self.solve_mask(&mask, None).0;
-        self.mask_buf = mask;
-        value
     }
 }
 
-/// The memo-free core of one exact subset solve: restrict, dispatch to
-/// the exact solvers, lift back to a global assignment. A pure function
-/// of its arguments (the exact solvers draw no randomness) — both the
-/// memoising [`SubsetSolver::solve_mask`] and the sharded annotation
-/// workers bottom out here.
+/// The memo-free core of one exact subset solve: restrict through the
+/// members' incidences, dispatch to the exact solvers, pack the answer
+/// over the members. A pure function of its arguments (the exact solvers
+/// draw no randomness) — both the memoising [`SubsetSolver::solve`] and
+/// the sharded annotation workers bottom out here.
 fn solve_subset(
     ilp: &IlpInstance,
     budget: &SolverBudget,
-    mask: &[bool],
+    members: &[Vertex],
     fixed_ones: Option<&[bool]>,
 ) -> SubsetEntry {
     // Every memoising caller bottoms out here, so this one span covers
@@ -689,15 +801,170 @@ fn solve_subset(
     // root `span.subset_solve`; sequentially it nests under the solve.
     let _span = dapc_obs::span("subset_solve");
     let sub = match ilp.sense() {
-        Sense::Packing => packing_restriction(ilp, mask),
-        Sense::Covering => {
-            dapc_ilp::restrict::covering_restriction_with_fixed(ilp, mask, fixed_ones)
-        }
+        Sense::Packing => packing_restriction(ilp, members),
+        Sense::Covering => covering_restriction_with_fixed(ilp, members, fixed_ones),
     };
     let sol = solvers::solve(&sub, budget);
-    let mut global = vec![false; ilp.n()];
-    sub.lift_into(&sol.assignment, &mut global);
-    (sol.value, global, sol.exact)
+    SubsetEntry::from_local(sol.value, sol.exact, members, &sub.vars, &sol.assignment)
+}
+
+/// Up to this many farthest-first pivots per component back the
+/// whole-component certificate.
+const PIVOTS: usize = 4;
+
+/// The whole-component certificate for `S_C = N^r(C)` (see the module
+/// docs): built once per [`prepare`] call from the primal graph, it
+/// answers "is `N^r(C)` all of C's component?" in `O(|C|)` and hands back
+/// that component's ascending members and precomputed key.
+struct ComponentCertificate {
+    radius: usize,
+    /// Component id per vertex.
+    comp: Vec<u32>,
+    /// Vertices grouped by component, ascending within each; component
+    /// `k` is `order[start[k]..start[k + 1]]`.
+    order: Vec<Vertex>,
+    start: Vec<usize>,
+    /// [`SubsetKey`] of each component's member list.
+    keys: Vec<SubsetKey>,
+    /// Per vertex: distance from each pivot of its component.
+    dist: Vec<[u32; PIVOTS]>,
+    /// Per component: each pivot's eccentricity (`u32::MAX` = no pivot;
+    /// components with at most `radius + 1` vertices need none).
+    ecc: Vec<[u32; PIVOTS]>,
+}
+
+impl ComponentCertificate {
+    fn new(primal: &Graph, radius: usize) -> Self {
+        let n = primal.n();
+        let (comp, k) = primal.connected_components();
+        let mut start = vec![0usize; k + 1];
+        for &c in &comp {
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..k {
+            start[c + 1] += start[c];
+        }
+        // Counting sort over ascending vertex ids keeps each component's
+        // slice ascending.
+        let mut order = vec![0 as Vertex; n];
+        let mut fill = start.clone();
+        for (v, &c) in comp.iter().enumerate() {
+            order[fill[c as usize]] = v as Vertex;
+            fill[c as usize] += 1;
+        }
+        let keys = (0..k)
+            .map(|c| member_key(&order[start[c]..start[c + 1]], None))
+            .collect();
+        let mut dist = vec![[u32::MAX; PIVOTS]; n];
+        let mut ecc = vec![[u32::MAX; PIVOTS]; k];
+        let mut queue: Vec<Vertex> = Vec::new();
+        for c in 0..k {
+            let members = &order[start[c]..start[c + 1]];
+            if members.len() - 1 <= radius {
+                continue;
+            }
+            // Farthest-first: the first pivot is the smallest member, each
+            // next one the member farthest from all pivots so far.
+            let mut pivot = members[0];
+            for p in 0..PIVOTS {
+                if p > 0 {
+                    pivot = *members
+                        .iter()
+                        .max_by_key(|&&v| dist[v as usize][..p].iter().min().copied())
+                        .expect("component is non-empty");
+                }
+                ecc[c][p] = bfs_slot(primal, pivot, p, &mut dist, &mut queue);
+            }
+        }
+        ComponentCertificate {
+            radius,
+            comp,
+            order,
+            start,
+            keys,
+            dist,
+            ecc,
+        }
+    }
+
+    /// The component `N^radius(members)` equals, when the certificate
+    /// proves it.
+    fn whole_component(&self, members: &[Vertex]) -> Option<usize> {
+        let c = self.comp[*members.first()? as usize];
+        if members.iter().any(|&v| self.comp[v as usize] != c) {
+            return None;
+        }
+        let c = c as usize;
+        if self.start[c + 1] - self.start[c] - 1 <= self.radius {
+            return Some(c);
+        }
+        let certified = (0..PIVOTS).any(|p| {
+            let ecc = self.ecc[c][p] as usize;
+            members
+                .iter()
+                .any(|&v| ecc + self.dist[v as usize][p] as usize <= self.radius)
+        });
+        certified.then_some(c)
+    }
+
+    /// `S_C = N^radius(members)` as its key and ascending member list:
+    /// the certified whole component, or a BFS ball sorted into `buf`.
+    fn sc_ball<'s>(
+        &'s self,
+        h: &Hypergraph,
+        members: &[Vertex],
+        scratch: &mut BallScratch,
+        buf: &'s mut Vec<Vertex>,
+    ) -> (SubsetKey, &'s [Vertex]) {
+        if let Some(c) = self.whole_component(members) {
+            if dapc_obs::enabled() {
+                metrics::sc_certified().inc();
+            }
+            return (self.keys[c], &self.order[self.start[c]..self.start[c + 1]]);
+        }
+        if dapc_obs::enabled() {
+            metrics::sc_bfs().inc();
+        }
+        let ball = h.ball_with_scratch(members, self.radius, None, None, scratch);
+        collect_sorted(buf, ball.iter());
+        (member_key(buf, None), buf)
+    }
+}
+
+/// Refills `buf` with `vertices` in ascending order — the member-list
+/// form every subset solve takes.
+pub(crate) fn collect_sorted(buf: &mut Vec<Vertex>, vertices: impl Iterator<Item = Vertex>) {
+    buf.clear();
+    buf.extend(vertices);
+    buf.sort_unstable();
+}
+
+/// BFS from `source` over its component, writing distances into slot
+/// `slot` of `dist`; returns the source's eccentricity.
+fn bfs_slot(
+    g: &Graph,
+    source: Vertex,
+    slot: usize,
+    dist: &mut [[u32; PIVOTS]],
+    queue: &mut Vec<Vertex>,
+) -> u32 {
+    queue.clear();
+    queue.push(source);
+    dist[source as usize][slot] = 0;
+    let mut head = 0;
+    let mut ecc = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let du = dist[u as usize][slot];
+        ecc = du;
+        for &w in g.neighbors(u) {
+            if dist[w as usize][slot] == u32::MAX {
+                dist[w as usize][slot] = du + 1;
+                queue.push(w);
+            }
+        }
+    }
+    ecc
 }
 
 /// Runs the preparation step: `prep_count` independent decompositions
@@ -717,6 +984,9 @@ fn solve_subset(
 /// in canonical order from cache hits. Either
 /// way the output is byte-identical: solves are deterministic functions
 /// of their key, and the worker count changes only wall-clock time.
+///
+/// `primal` must be the primal graph of `h`: the whole-component
+/// certificate for the `S_C` balls is read from it.
 pub fn prepare(
     ilp: &IlpInstance,
     h: &Hypergraph,
@@ -760,12 +1030,14 @@ pub fn prepare(
     // Pass 2 (deterministic): annotate. Sharded, the fan-out seeds the
     // solver's memo and hands back each cluster's two subset keys, so the
     // canonical re-emit is pure memo reads — no ball is recomputed.
-    // Sequential, the annotation streams: each `S_C` ball is computed,
-    // masked, solved and dropped, so peak memory stays one ball.
+    // Sequential, the annotation streams: each `S_C` is certified or
+    // grown, solved and dropped, so peak memory stays one ball.
     let _annotate_span = dapc_obs::span("annotate");
+    debug_assert_eq!(primal.n(), h.n(), "primal must be h's primal graph");
+    let cert = ComponentCertificate::new(primal, params.sc_radius);
     let mut clusters: Vec<PrepCluster> = Vec::with_capacity(members_list.len());
     if params.prep_workers > 1 {
-        let cluster_keys = shard_subset_solves(ilp, h, params, solver, &members_list);
+        let cluster_keys = shard_subset_solves(ilp, h, &cert, params, solver, &members_list);
         for (members, (local_key, sc_key)) in members_list.into_iter().zip(cluster_keys) {
             clusters.push(PrepCluster {
                 members,
@@ -774,19 +1046,12 @@ pub fn prepare(
             });
         }
     } else {
-        let n = h.n();
         let mut scratch = BallScratch::new();
-        let mut mask = vec![false; n];
+        let mut ball = Vec::new();
         for members in members_list {
-            let w_local = solver.value_of(&members);
-            let sc = h.ball_with_scratch(&members, params.sc_radius, None, None, &mut scratch);
-            for v in sc.iter() {
-                mask[v as usize] = true;
-            }
-            let (w_neighborhood, _, _) = solver.solve_mask(&mask, None);
-            for v in sc.iter() {
-                mask[v as usize] = false;
-            }
+            let w_local = solver.solve(&members, None).value;
+            let (sc_key, sc) = cert.sc_ball(h, &members, &mut scratch, &mut ball);
+            let w_neighborhood = solver.solve_keyed(sc_key, sc, None).value;
             clusters.push(PrepCluster {
                 members,
                 w_local,
@@ -810,10 +1075,9 @@ pub fn prepare(
 /// Work items are deduplicated by [`SubsetKey`] first, so the sharded
 /// pass performs exactly the set of exact solves the sequential memo
 /// would — parallelism changes wall-clock time, never the work done. The
-/// worklist stores vertex lists (ball-sized), not `n`-length masks, so
-/// fan-out memory is proportional to the balls themselves; each worker
-/// expands into its own transient mask. Solves run under the solver's
-/// own budget — the one every sequential lookup would use.
+/// worklist stores ascending member lists, so fan-out memory is
+/// proportional to the distinct subsets themselves. Solves run under the
+/// solver's own budget — the one every sequential lookup would use.
 ///
 /// If a family cache is attached, workers probe it *uncounted* for warm
 /// entries and the hand-over loop records exactly one hit or miss per
@@ -827,11 +1091,11 @@ pub fn prepare(
 fn shard_subset_solves(
     ilp: &IlpInstance,
     h: &Hypergraph,
+    cert: &ComponentCertificate,
     params: &PcParams,
     solver: &mut SubsetSolver<'_>,
     members_list: &[Vec<Vertex>],
 ) -> Vec<(SubsetKey, SubsetKey)> {
-    let n = ilp.n();
     #[expect(
         clippy::disallowed_types,
         reason = "membership-test dedup only; the output order follows the deterministic worklist, not the set"
@@ -840,28 +1104,15 @@ fn shard_subset_solves(
     let mut worklist: Vec<(SubsetKey, Vec<Vertex>)> = Vec::new();
     let mut cluster_keys: Vec<(SubsetKey, SubsetKey)> = Vec::with_capacity(members_list.len());
     let mut scratch = BallScratch::new();
-    let mut mask = vec![false; n];
+    let mut ball = Vec::new();
     for members in members_list {
-        for &v in members {
-            mask[v as usize] = true;
-        }
-        let local_key = subset_key(&mask, None);
+        let local_key = member_key(members, None);
         if seen.insert(local_key) {
             worklist.push((local_key, members.clone()));
         }
-        for &v in members {
-            mask[v as usize] = false;
-        }
-        let ball = h.ball_with_scratch(members, params.sc_radius, None, None, &mut scratch);
-        for v in ball.iter() {
-            mask[v as usize] = true;
-        }
-        let sc_key = subset_key(&mask, None);
+        let (sc_key, sc) = cert.sc_ball(h, members, &mut scratch, &mut ball);
         if seen.insert(sc_key) {
-            worklist.push((sc_key, ball.iter().collect()));
-        }
-        for v in ball.iter() {
-            mask[v as usize] = false;
+            worklist.push((sc_key, sc.to_vec()));
         }
         cluster_keys.push((local_key, sc_key));
     }
@@ -886,27 +1137,17 @@ fn shard_subset_solves(
             let worklist = Arc::clone(&worklist);
             let slots = Arc::clone(&slots);
             let next = Arc::clone(&next);
-            s.spawn(move || {
-                let mut mask: Vec<bool> = Vec::new();
-                loop {
-                    // ordering: Relaxed — fetch_add only claims unique worklist indices; no data rides on it
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((key, vertices)) = worklist.get(index) else {
-                        break;
-                    };
-                    let result = match shared.as_ref().and_then(|c| c.get_uncounted(*key)) {
-                        Some(entry) => (entry, true),
-                        None => {
-                            mask.clear();
-                            mask.resize(owned.n(), false);
-                            for &v in vertices {
-                                mask[v as usize] = true;
-                            }
-                            (solve_subset(&owned, &budget, &mask, None), false)
-                        }
-                    };
-                    slots.lock().expect("prep result slots")[index] = Some(result);
-                }
+            s.spawn(move || loop {
+                // ordering: Relaxed — fetch_add only claims unique worklist indices; no data rides on it
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some((key, members)) = worklist.get(index) else {
+                    break;
+                };
+                let result = match shared.as_ref().and_then(|c| c.get_uncounted(*key)) {
+                    Some(entry) => (entry, true),
+                    None => (solve_subset(&owned, &budget, members, None), false),
+                };
+                slots.lock().expect("prep result slots")[index] = Some(result);
             });
         }
     });
@@ -939,30 +1180,207 @@ mod tests {
     use dapc_graph::gen;
     use dapc_ilp::problems;
 
+    /// `0..n` as a member list.
+    fn prefix(n: usize) -> Vec<Vertex> {
+        (0..n as Vertex).collect()
+    }
+
+    /// The mask fold the member key replaced, kept as its oracle: one
+    /// pass over the whole `n`-length mask.
+    fn subset_key_oracle(mask: &[bool], fixed_ones: Option<&[bool]>) -> SubsetKey {
+        let mut h = FNV128_OFFSET;
+        for (v, &m) in mask.iter().enumerate() {
+            if m {
+                h = fnv1a_128_u32(h, v as u32);
+            }
+        }
+        if let Some(f) = fixed_ones {
+            h = fnv1a_128_u32(h, u32::MAX); // separator
+            for (v, (&fv, &m)) in f.iter().zip(mask.iter()).enumerate() {
+                if fv && m {
+                    h = fnv1a_128_u32(h, v as u32);
+                }
+            }
+        }
+        h
+    }
+
+    proptest::proptest! {
+        /// The member key is the mask key, so digests and persisted keys
+        /// do not move: with no overlay, an empty overlay and a random
+        /// one, on random subsets (empty ones included).
+        #[test]
+        fn member_key_equals_mask_key(
+            bits in proptest::collection::vec(0u8..2, 0..40),
+            fixed_seed in 0u64..1000,
+        ) {
+            use rand::RngExt;
+            let mask: Vec<bool> = bits.iter().map(|&b| b == 1).collect();
+            let n = mask.len();
+            let members: Vec<Vertex> = (0..n as Vertex).filter(|&v| mask[v as usize]).collect();
+            let mut rng = gen::seeded_rng(fixed_seed);
+            let fixed: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < 0.4).collect();
+            let empty = vec![false; n];
+            proptest::prop_assert_eq!(member_key(&members, None), subset_key_oracle(&mask, None));
+            proptest::prop_assert_eq!(
+                member_key(&members, Some(&empty)),
+                subset_key_oracle(&mask, Some(&empty))
+            );
+            proptest::prop_assert_eq!(
+                member_key(&members, Some(&fixed)),
+                subset_key_oracle(&mask, Some(&fixed))
+            );
+        }
+    }
+
+    /// Whenever the certificate fires, its component is exactly the BFS
+    /// ball `N^r(C)`, and `sc_ball` always returns the sorted BFS ball and
+    /// its key — on cycles, paths, grids, trees, sparse G(n, p) with
+    /// isolated vertices and a dominating-set hypergraph, at radii below,
+    /// around and above the diameters, for every singleton cluster and
+    /// for random ones.
+    #[test]
+    fn certificate_matches_the_bfs_ball() {
+        use rand::RngExt;
+        let mut rng = gen::seeded_rng(17);
+        let graphs = [
+            gen::cycle(40),
+            gen::cycle(9),
+            gen::path(31),
+            gen::path(12),
+            gen::grid(7, 9),
+            gen::random_tree(45, &mut rng),
+            gen::complete_tree(3, 3),
+            gen::gnp(60, 0.03, &mut rng),
+            gen::gnp(50, 0.06, &mut rng),
+        ];
+        let mut instances: Vec<IlpInstance> = graphs
+            .iter()
+            .map(problems::max_independent_set_unweighted)
+            .collect();
+        instances.push(problems::min_dominating_set_unweighted(&gen::gnp(
+            40, 0.05, &mut rng,
+        )));
+        let (mut fired, mut fell_back) = (0usize, 0usize);
+        let mut scratch = BallScratch::new();
+        let mut buf = Vec::new();
+        for ilp in &instances {
+            let h = ilp.hypergraph();
+            let primal = h.primal_graph();
+            let n = h.n();
+            for radius in [0usize, 1, 3, 6, 10, 15, 22, 40, 80] {
+                let cert = ComponentCertificate::new(&primal, radius);
+                for trial in 0..n + 30 {
+                    // Every singleton, then small clusters around one
+                    // vertex (one component) and random sparse subsets
+                    // (often several components).
+                    let cluster: Vec<Vertex> = if trial < n {
+                        vec![trial as Vertex]
+                    } else if trial % 2 == 0 {
+                        let centre = rng.random_range(0..n) as Vertex;
+                        let ball = h.ball(&[centre], trial % 3, None, None);
+                        let mut c: Vec<Vertex> = ball.iter().collect();
+                        c.sort_unstable();
+                        c
+                    } else {
+                        (0..n as Vertex)
+                            .filter(|_| rng.random::<f64>() < 0.05)
+                            .collect()
+                    };
+                    if cluster.is_empty() {
+                        continue;
+                    }
+                    let mut expect: Vec<Vertex> =
+                        h.ball(&cluster, radius, None, None).iter().collect();
+                    expect.sort_unstable();
+                    match cert.whole_component(&cluster) {
+                        Some(c) => {
+                            fired += 1;
+                            assert_eq!(
+                                &cert.order[cert.start[c]..cert.start[c + 1]],
+                                expect.as_slice(),
+                                "certified a ball that is not the component (r = {radius})"
+                            );
+                        }
+                        None => fell_back += 1,
+                    }
+                    let (key, sc) = cert.sc_ball(h, &cluster, &mut scratch, &mut buf);
+                    assert_eq!(sc, expect.as_slice());
+                    assert_eq!(key, member_key(&expect, None));
+                }
+            }
+        }
+        assert!(fired > 100, "the certificate must fire: {fired}");
+        assert!(fell_back > 100, "the BFS fallback must run: {fell_back}");
+    }
+
+    /// A cluster with members in two components is never certified, even
+    /// when both components are tiny against the radius: it falls back to
+    /// the BFS, which returns the union of both components.
+    #[test]
+    fn clusters_spanning_two_components_fall_back_to_bfs() {
+        // Two disjoint cycles: 0..10 and 10..25.
+        let mut edges: Vec<(Vertex, Vertex)> = (0..10).map(|v| (v, (v + 1) % 10)).collect();
+        edges.extend((0..15).map(|v| (10 + v, 10 + (v + 1) % 15)));
+        let g = dapc_graph::Graph::from_edges(25, &edges);
+        let ilp = problems::max_independent_set_unweighted(&g);
+        let h = ilp.hypergraph();
+        let cert = ComponentCertificate::new(&h.primal_graph(), 100);
+        assert_eq!(cert.whole_component(&[3]), Some(0));
+        assert_eq!(cert.whole_component(&[12, 20]), Some(1));
+        assert_eq!(cert.whole_component(&[3, 12]), None);
+        let (mut scratch, mut buf) = (BallScratch::new(), Vec::new());
+        let (key, sc) = cert.sc_ball(h, &[3, 12], &mut scratch, &mut buf);
+        assert_eq!(sc, prefix(25).as_slice());
+        assert_eq!(key, member_key(&prefix(25), None));
+    }
+
     #[test]
     fn subset_solver_caches() {
         let g = gen::cycle(10);
         let ilp = problems::max_independent_set_unweighted(&g);
         let mut solver = SubsetSolver::new(&ilp, SolverBudget::default());
-        let mask = vec![true; 10];
-        let (v1, _, e1) = solver.solve_mask(&mask, None);
-        let (v2, _, _) = solver.solve_mask(&mask, None);
-        assert_eq!(v1, 5);
-        assert_eq!(v1, v2);
-        assert!(e1);
+        let all = prefix(10);
+        let first = solver.solve(&all, None).clone();
+        let second = solver.solve(&all, None).clone();
+        assert_eq!(first.value, 5);
+        assert_eq!(first, second);
+        assert!(first.exact);
+        assert_eq!(first.ones(&all).count(), 5);
         assert_eq!(solver.cache.len(), 1);
+    }
+
+    /// Member-local entries lift to a feasible global solution, and
+    /// covering's fixed members come back unset (they are paid for
+    /// elsewhere).
+    #[test]
+    fn entries_lift_over_their_members() {
+        let g = gen::path(6);
+        let cover = problems::min_vertex_cover_unweighted(&g);
+        let mut solver = SubsetSolver::new(&cover, SolverBudget::default());
+        let members: Vec<Vertex> = vec![1, 2, 3, 4];
+        let mut fixed = vec![false; 6];
+        fixed[2] = true;
+        let entry = solver.solve(&members, Some(&fixed)).clone();
+        // Edges {1,2} and {2,3} are covered by the fixed 2; {3,4} needs one
+        // more vertex.
+        assert_eq!(entry.value, 1);
+        let ones: Vec<Vertex> = entry.ones(&members).collect();
+        assert_eq!(ones.len(), 1);
+        assert!(ones[0] == 3 || ones[0] == 4, "{ones:?}");
+        assert!(!ones.contains(&2), "fixed members are not re-chosen");
     }
 
     #[test]
     fn subset_keys_distinguish_fixed_overlays() {
-        let mask = vec![true, true, false, true];
-        let none_fixed = subset_key(&mask, None);
-        let empty_fixed = subset_key(&mask, Some(&[false, false, false, false]));
-        let some_fixed = subset_key(&mask, Some(&[true, false, false, false]));
-        let outside_fixed = subset_key(&mask, Some(&[false, false, true, false]));
+        let members: Vec<Vertex> = vec![0, 1, 3];
+        let none_fixed = member_key(&members, None);
+        let empty_fixed = member_key(&members, Some(&[false, false, false, false]));
+        let some_fixed = member_key(&members, Some(&[true, false, false, false]));
+        let outside_fixed = member_key(&members, Some(&[false, false, true, false]));
         assert_ne!(none_fixed, empty_fixed, "separator must mark the overlay");
         assert_ne!(empty_fixed, some_fixed);
-        // Fixed vertices outside the mask are irrelevant to the
+        // Fixed vertices outside the subset are irrelevant to the
         // restriction and must not move the key.
         assert_eq!(empty_fixed, outside_fixed);
     }
@@ -972,17 +1390,17 @@ mod tests {
         let g = gen::cycle(10);
         let ilp = problems::max_independent_set_unweighted(&g);
         let shared = SharedSubsetCache::new();
-        let mask = vec![true; 10];
+        let all = prefix(10);
         let mut a = SubsetSolver::with_shared(&ilp, SolverBudget::default(), shared.clone());
-        let (v1, _, _) = a.solve_mask(&mask, None);
+        let v1 = a.solve(&all, None).value;
         assert_eq!((shared.hits(), shared.misses()), (0, 1));
         let mut b = SubsetSolver::with_shared(&ilp, SolverBudget::default(), shared.clone());
-        let (v2, _, _) = b.solve_mask(&mask, None);
+        let v2 = b.solve(&all, None).value;
         assert_eq!(v1, v2);
         assert_eq!((shared.hits(), shared.misses()), (1, 1));
         // Per-run re-lookups are served by the local memo, not the shared
         // map, so hit counts measure genuine cross-run reuse.
-        let (v3, _, _) = b.solve_mask(&mask, None);
+        let v3 = b.solve(&all, None).value;
         assert_eq!(v2, v3);
         assert_eq!((shared.hits(), shared.misses()), (1, 1));
         assert_eq!(shared.len(), 1);
@@ -1000,9 +1418,8 @@ mod tests {
         let mut solver = SubsetSolver::new(&ilp, SolverBudget::default());
         let mut values = Vec::new();
         for k in 1..=n {
-            let mask: Vec<bool> = (0..n).map(|v| v < k).collect();
             let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), tiny.clone());
-            values.push(s.solve_mask(&mask, None));
+            values.push(s.solve(&prefix(k), None).clone());
         }
         assert!(
             tiny.evictions() > 0,
@@ -1011,8 +1428,7 @@ mod tests {
         assert!(tiny.len() <= 16, "one entry per stripe at most: {tiny:?}");
         // Transparency: every value matches the uncached reference solver.
         for (k, cached) in values.iter().enumerate() {
-            let mask: Vec<bool> = (0..n).map(|v| v <= k).collect();
-            assert_eq!(&solver.solve_mask(&mask, None), cached, "prefix {k}");
+            assert_eq!(solver.solve(&prefix(k + 1), None), cached, "prefix {k}");
         }
     }
 
@@ -1022,9 +1438,8 @@ mod tests {
         let ilp = problems::max_independent_set_unweighted(&g);
         let cache = SharedSubsetCache::new();
         for k in 1..=9usize {
-            let mask: Vec<bool> = (0..9).map(|v| v < k).collect();
             let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-            s.solve_mask(&mask, None);
+            s.solve(&prefix(k), None);
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 9);
@@ -1038,9 +1453,8 @@ mod tests {
         let ilp = problems::max_independent_set_unweighted(&g);
         let cache = SharedSubsetCache::new();
         for k in 1..=18usize {
-            let mask: Vec<bool> = (0..18).map(|v| v < k).collect();
             let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-            s.solve_mask(&mask, None);
+            s.solve(&prefix(k), None);
         }
         let mut bytes = Vec::new();
         cache.save_to(&mut bytes).expect("write to a Vec");
@@ -1101,7 +1515,7 @@ mod tests {
         let g = gen::cycle(6);
         let ilp = problems::max_independent_set_unweighted(&g);
         let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-        s.solve_mask(&[true; 6], None);
+        s.solve(&prefix(6), None);
         cache.save_to(&mut bytes).expect("write to a Vec");
         bytes.truncate(bytes.len() - 3);
         assert!(SharedSubsetCache::load_from(bytes.as_slice()).is_err());
@@ -1109,14 +1523,14 @@ mod tests {
 
     /// A snapshot with ≥ 2 entries, plus the byte offset of every field
     /// boundary in its layout (`magic · count · (key · value · exact ·
-    /// bits · packed)*`), for the truncation sweep below.
+    /// len · packed)* · seal`), for the truncation sweep below.
     fn two_entry_snapshot() -> (Vec<u8>, Vec<usize>, usize) {
         let cache = SharedSubsetCache::new();
         let g = gen::cycle(6);
         let ilp = problems::max_independent_set_unweighted(&g);
         let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-        s.solve_mask(&[true; 6], None);
-        s.solve_mask(&[true, true, true, false, false, false], None);
+        s.solve(&prefix(6), None);
+        s.solve(&prefix(3), None);
         assert!(cache.len() >= 2, "need at least two entries");
         let mut bytes = Vec::new();
         cache.save_to(&mut bytes).expect("write to a Vec");
@@ -1127,9 +1541,10 @@ mod tests {
                 at += field;
                 boundaries.push(at);
             }
-            at += 1; // one packed byte per 6-bit assignment
+            at += 1; // one packed byte per ≤ 8-member assignment
             boundaries.push(at);
         }
+        at += 16; // the seal
         assert_eq!(at, bytes.len(), "layout walk must cover the snapshot");
         let count = cache.len();
         (bytes, boundaries, count)
@@ -1138,12 +1553,12 @@ mod tests {
     /// Hardened loading: truncating the stream at (and inside) every
     /// field boundary is an `Err`, and — the half-load guard — a failed
     /// `load_into` leaves the target cache untouched, even when the
-    /// stream dies *between* two well-formed entries.
+    /// stream dies *between* two well-formed entries or inside the seal.
     #[test]
     fn truncation_at_every_field_boundary_errors_without_half_loading() {
         let (bytes, boundaries, count) = two_entry_snapshot();
         for cut in boundaries.into_iter().filter(|&c| c < bytes.len()) {
-            for cut in [cut.saturating_sub(1), cut] {
+            for cut in [cut.saturating_sub(1), cut, cut + 1] {
                 let target = SharedSubsetCache::new();
                 let err = target
                     .load_into(&bytes[..cut])
@@ -1192,6 +1607,50 @@ mod tests {
         assert_eq!(target.len(), 0, "the well-formed first entry leaked in");
     }
 
+    /// Version 1 snapshots stored `n`-length global assignments; they
+    /// are rejected with the "unsupported … version" error, never read
+    /// as member-local entries.
+    #[test]
+    fn version_1_snapshots_are_rejected() {
+        let mut v1 = SNAPSHOT_MAGIC.to_vec();
+        v1[7] = 1;
+        v1.extend_from_slice(&1u64.to_le_bytes()); // one entry
+        v1.extend_from_slice(&member_key(&prefix(6), None).to_le_bytes());
+        v1.extend_from_slice(&3u64.to_le_bytes()); // value
+        v1.push(1); // exact
+        v1.extend_from_slice(&6u64.to_le_bytes()); // n-length assignment
+        v1.push(0b01_0101);
+        let target = SharedSubsetCache::new();
+        let err = target
+            .load_into(v1.as_slice())
+            .expect_err("a v1 stream must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "unsupported subset-cache snapshot version 1 (expected 2)"
+        );
+        assert_eq!(target.len(), 0);
+    }
+
+    /// The seal catches a flipped assignment bit that every field check
+    /// accepts, and nonzero padding bits are rejected on their own.
+    #[test]
+    fn flipped_bits_fail_the_seal_or_the_padding_check() {
+        let (bytes, _, _) = two_entry_snapshot();
+        let first_packed_at = 16 + 16 + 8 + 1 + 8;
+        for (bit, what) in [(0u8, "seal"), (7, "padding")] {
+            let mut corrupt = bytes.clone();
+            corrupt[first_packed_at] ^= 1 << bit;
+            let target = SharedSubsetCache::new();
+            let err = target
+                .load_into(corrupt.as_slice())
+                .expect_err("a flipped bit must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(what), "{what}: {err}");
+            assert_eq!(target.len(), 0);
+        }
+    }
+
     /// A corrupt length field must surface as a read error, not as a
     /// multi-exabyte allocation request: the loader only allocates in
     /// proportion to bytes actually present in the stream.
@@ -1201,10 +1660,10 @@ mod tests {
         let g = gen::cycle(6);
         let ilp = problems::max_independent_set_unweighted(&g);
         let mut s = SubsetSolver::with_shared(&ilp, SolverBudget::default(), cache.clone());
-        s.solve_mask(&[true; 6], None);
+        s.solve(&prefix(6), None);
         let mut bytes = Vec::new();
         cache.save_to(&mut bytes).expect("write to a Vec");
-        // The assignment bit count of the single entry sits after
+        // The member count of the single entry sits after
         // magic(8) + count(8) + key(16) + value(8) + exact(1).
         let bits_at = 8 + 8 + 16 + 8 + 1;
         bytes[bits_at..bits_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());

@@ -5,7 +5,8 @@
 //! (`DAPC` + a three-letter format tag) and a format version byte.
 //! Version `\x01` formats end with their last field; version `\x02`+
 //! formats append a 16-byte FNV-1a-128 seal over every preceding byte
-//! (`dapc_runtime::snap`), so bit flips and truncation fail loudly.
+//! ([`seal`], checked on load through a [`SealingReader`]), so bit flips
+//! and truncation fail loudly.
 //!
 //! This module is the *only* place a `b"DAPC…"` literal may appear in
 //! library code. Two checks hold it to that. The
@@ -16,6 +17,9 @@
 //! this file and checks that every entry of [`ALL`] is declared here.
 //! Loaders and writers import these constants; a new format starts by
 //! adding its entry here.
+
+use dapc_ilp::hash::{fnv1a_128, FNV128_OFFSET};
+use std::io::{self, Read};
 
 /// One registered snapshot format: its 8-byte magic (7 identifying
 /// bytes + 1 version byte), whether the format carries a trailing
@@ -44,10 +48,12 @@ impl Magic {
     }
 }
 
-/// `dapc_core::prep::SharedSubsetCache` warm-start snapshot.
+/// `dapc_core::prep::SharedSubsetCache` warm-start snapshot. Version 2
+/// stores member-local assignments (version 1 stored `n`-length ones)
+/// and is sealed.
 pub const SUBSET_CACHE: Magic = Magic {
-    bytes: b"DAPCSSC\x01",
-    sealed: false,
+    bytes: b"DAPCSSC\x02",
+    sealed: true,
     name: "subset-cache warm-start snapshot",
 };
 
@@ -106,6 +112,73 @@ pub const ALL: [&Magic; 7] = [
     &MANIFEST,
     &SHARD_FILE,
 ];
+
+/// Appends the 16-byte FNV-1a-128 seal over everything currently in
+/// `buf`. Sealed formats serialise all fields into a buffer first, call
+/// this last, and write the buffer in one shot; loaders parse the
+/// fields through a [`SealingReader`] and call
+/// [`SealingReader::verify_seal`] once every field is in. Any bit flip
+/// or truncation anywhere under the seal is then guaranteed to surface
+/// as an `Err` — a snapshot can fail to load, but never half-load or
+/// load wrong.
+pub fn seal(buf: &mut Vec<u8>) {
+    let digest = fnv1a_128(FNV128_OFFSET, buf);
+    buf.extend_from_slice(&digest.to_le_bytes());
+}
+
+/// A reader that folds every byte it passes through into a running
+/// FNV-1a-128 digest, so a loader can parse a sealed snapshot's fields
+/// normally and then check the trailing seal against exactly the bytes
+/// it consumed. Field-level validation errors fire first (they read
+/// fewer bytes); the seal catches everything those checks cannot.
+pub struct SealingReader<R> {
+    inner: R,
+    digest: u128,
+}
+
+impl<R: Read> SealingReader<R> {
+    /// Starts a fresh digest over `inner`.
+    pub fn new(inner: R) -> Self {
+        SealingReader {
+            inner,
+            digest: FNV128_OFFSET,
+        }
+    }
+
+    /// Reads the 16-byte seal from the underlying stream (NOT folded
+    /// into the digest) and compares it with the digest of everything
+    /// read so far. Call after the last sealed field and before any
+    /// trailing-bytes check.
+    pub fn verify_seal(&mut self, what: &str) -> io::Result<()> {
+        let expect = self.digest;
+        let mut buf = [0u8; 16];
+        self.inner.read_exact(&mut buf).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("truncated {what} snapshot seal"),
+                )
+            } else {
+                e
+            }
+        })?;
+        if u128::from_le_bytes(buf) != expect {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{what} snapshot seal mismatch (corrupt or torn file)"),
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Read for SealingReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.digest = fnv1a_128(self.digest, &buf[..n]);
+        Ok(n)
+    }
+}
 
 #[cfg(test)]
 mod tests {

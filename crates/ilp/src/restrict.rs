@@ -10,6 +10,17 @@
 //! whose support lies **entirely inside** `S` — inter-cluster constraints
 //! are someone else's responsibility (the sparse cover guarantees each is
 //! fully inside at least one cluster).
+//!
+//! Both restrictions take `S` as a strictly ascending member list and
+//! walk the members' incidence lists in the instance hypergraph (one
+//! hyperedge per constraint support) instead of scanning all `m`
+//! constraints. The `(constraint, member position)` incidences are
+//! sorted, so the touched constraints come in id order, each with its
+//! `S`-members in variable order: the kept constraints, their
+//! coefficient order and every float bound come out exactly as a full
+//! scan in id order would produce them. For `I` incidences of `S` the
+//! cost is `O(|S| + I log I)` plus the coefficients of the touched
+//! constraints, rather than `O(n + nnz)`.
 
 use crate::instance::{Constraint, IlpInstance, Sense};
 use dapc_graph::Vertex;
@@ -81,74 +92,91 @@ impl SubInstance {
 /// 2.1). Constraints whose restricted support is empty are dropped (they
 /// are vacuous for variables in `S`).
 ///
+/// `members` is `S` as a strictly ascending vertex list; local variable `i`
+/// is `members[i]`.
+///
 /// # Panics
 ///
-/// Panics if the instance is not packing or the mask length mismatches.
-pub fn packing_restriction(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
+/// Panics if the instance is not packing or a member is out of range.
+pub fn packing_restriction(ilp: &IlpInstance, members: &[Vertex]) -> SubInstance {
     assert_eq!(ilp.sense(), Sense::Packing, "expected a packing instance");
-    assert_eq!(subset.len(), ilp.n());
-    let (vars, local_id) = collect_vars(subset);
-    let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
+    debug_assert!(is_ascending(members), "members must be strictly ascending");
+    let weights = members.iter().map(|&v| ilp.weight(v)).collect();
     let mut constraints = Vec::new();
-    for c in ilp.constraints() {
-        let coeffs: Vec<(Vertex, f64)> = c
-            .coeffs()
-            .iter()
-            .filter(|&&(v, _)| subset[v as usize])
-            .map(|&(v, a)| (local_id[v as usize], a))
-            .collect();
-        if !coeffs.is_empty() {
-            constraints.push(Constraint::new(coeffs, c.bound()));
+    for run in incidences(ilp, members).chunk_by(same_constraint) {
+        let c = constraint_of(ilp, run);
+        // Both the coefficients and the run's positions ascend in the
+        // variable, so one merge pass picks out the S-support.
+        let mut coeffs: Vec<(Vertex, f64)> = Vec::with_capacity(run.len());
+        let mut positions = run.iter().map(|&key| position(key)).peekable();
+        for &(v, a) in c.coeffs() {
+            if let Some(&i) = positions.peek() {
+                if members[i as usize] == v {
+                    coeffs.push((i, a));
+                    positions.next();
+                }
+            }
         }
+        constraints.push(Constraint::new(coeffs, c.bound()));
     }
     SubInstance {
         sense: Sense::Packing,
-        vars,
+        vars: members.to_vec(),
         weights,
         constraints,
     }
 }
 
 /// Builds `Q^local_S` for a covering instance: only constraints fully
-/// inside `S` are kept (Observation 2.2).
+/// inside `S` are kept (Observation 2.2). `members` is `S`, strictly
+/// ascending.
 ///
 /// # Panics
 ///
-/// Panics if the instance is not covering or the mask length mismatches.
-pub fn covering_restriction(ilp: &IlpInstance, subset: &[bool]) -> SubInstance {
-    covering_restriction_with_fixed(ilp, subset, None)
+/// Panics if the instance is not covering or a member is out of range.
+pub fn covering_restriction(ilp: &IlpInstance, members: &[Vertex]) -> SubInstance {
+    covering_restriction_with_fixed(ilp, members, None)
 }
 
 /// Builds `Q^local_S` while honouring variables already **fixed to one** by
 /// earlier carving steps (§5.1.2 "fixing assignment"): fixed variables are
 /// removed from the sub-instance and their contribution is subtracted from
-/// each bound, so the local solver pays nothing for them.
+/// each bound, so the local solver pays nothing for them. `members` is
+/// `S`, strictly ascending; `fixed_ones` is read only at the members.
 ///
 /// # Panics
 ///
-/// Panics if the instance is not covering or a mask length mismatches.
+/// Panics if the instance is not covering, the overlay length mismatches
+/// or a member is out of range.
 pub fn covering_restriction_with_fixed(
     ilp: &IlpInstance,
-    subset: &[bool],
+    members: &[Vertex],
     fixed_ones: Option<&[bool]>,
 ) -> SubInstance {
     assert_eq!(ilp.sense(), Sense::Covering, "expected a covering instance");
-    assert_eq!(subset.len(), ilp.n());
+    debug_assert!(is_ascending(members), "members must be strictly ascending");
     if let Some(f) = fixed_ones {
         assert_eq!(f.len(), ilp.n());
     }
     let is_fixed = |v: Vertex| fixed_ones.is_some_and(|f| f[v as usize]);
-    let free = |v: Vertex| subset[v as usize] && !is_fixed(v);
-    let (vars, local_id) = {
-        let mask: Vec<bool> = (0..ilp.n()).map(|v| free(v as Vertex)).collect();
-        collect_vars(&mask)
-    };
+    // `var_of[i]`: local id of the i-th member when it is free.
+    let mut vars: Vec<Vertex> = Vec::with_capacity(members.len());
+    let mut var_of: Vec<Vertex> = Vec::with_capacity(members.len());
+    for &v in members {
+        var_of.push(vars.len() as Vertex);
+        if !is_fixed(v) {
+            vars.push(v);
+        }
+    }
     let weights = vars.iter().map(|&v| ilp.weight(v)).collect();
     let mut constraints = Vec::new();
-    for c in ilp.constraints() {
-        if !c.coeffs().iter().all(|&(v, _)| subset[v as usize]) {
+    for run in incidences(ilp, members).chunk_by(same_constraint) {
+        let c = constraint_of(ilp, run);
+        if run.len() != c.coeffs().len() {
             continue; // not fully inside S
         }
+        // Fully inside: the t-th coefficient's variable is the member at
+        // the run's t-th position.
         let fixed_contribution: f64 = c
             .coeffs()
             .iter()
@@ -162,8 +190,9 @@ pub fn covering_restriction_with_fixed(
         let coeffs: Vec<(Vertex, f64)> = c
             .coeffs()
             .iter()
-            .filter(|&&(v, _)| !is_fixed(v))
-            .map(|&(v, a)| (local_id[v as usize], a))
+            .zip(run)
+            .filter(|&(&(v, _), _)| !is_fixed(v))
+            .map(|(&(_, a), &key)| (var_of[position(key) as usize], a))
             .collect();
         constraints.push(Constraint::new(coeffs, bound));
     }
@@ -175,16 +204,42 @@ pub fn covering_restriction_with_fixed(
     }
 }
 
-fn collect_vars(subset: &[bool]) -> (Vec<Vertex>, Vec<Vertex>) {
-    let mut vars = Vec::new();
-    let mut local_id = vec![u32::MAX; subset.len()];
-    for (v, &inside) in subset.iter().enumerate() {
-        if inside {
-            local_id[v] = vars.len() as Vertex;
-            vars.push(v as Vertex);
-        }
+/// Every incidence of `members` as `constraint id << 32 | position in
+/// members`, sorted. Constraint `j` is hyperedge `j` of the instance
+/// hypergraph (its support), so walking the members' incidence lists
+/// finds exactly the constraints touching `S` at a cost of the
+/// incidences, not `m`. After the sort the touched constraints come in
+/// id order, one run each ([`same_constraint`]), and a run lists its
+/// S-members' positions ascending; a run as long as its constraint's
+/// support lies fully inside `S`.
+fn incidences(ilp: &IlpInstance, members: &[Vertex]) -> Vec<u64> {
+    let h = ilp.hypergraph();
+    let mut keys: Vec<u64> = Vec::new();
+    for (i, &v) in members.iter().enumerate() {
+        keys.extend(
+            h.incident_edges(v)
+                .iter()
+                .map(|&j| u64::from(j) << 32 | i as u64),
+        );
     }
-    (vars, local_id)
+    keys.sort_unstable();
+    keys
+}
+
+fn same_constraint(a: &u64, b: &u64) -> bool {
+    a >> 32 == b >> 32
+}
+
+fn constraint_of<'a>(ilp: &'a IlpInstance, run: &[u64]) -> &'a Constraint {
+    &ilp.constraints()[(run[0] >> 32) as usize]
+}
+
+fn position(key: u64) -> Vertex {
+    key as Vertex
+}
+
+fn is_ascending(members: &[Vertex]) -> bool {
+    members.windows(2).all(|w| w[0] < w[1])
 }
 
 /// Builds a membership mask from a vertex list.
@@ -207,7 +262,7 @@ mod tests {
         // P4: edges (0,1), (1,2), (2,3); restrict to S = {1, 2}.
         let g = gen::path(4);
         let ilp = problems::max_independent_set_unweighted(&g);
-        let sub = packing_restriction(&ilp, &mask_of(4, &[1, 2]));
+        let sub = packing_restriction(&ilp, &[1, 2]);
         assert_eq!(sub.vars, vec![1, 2]);
         // Edge (0,1) restricted to {1}: "x1 <= 1" — kept but vacuous; edge
         // (1,2) restricted fully; edge (2,3) restricted to {2}.
@@ -220,7 +275,7 @@ mod tests {
     fn packing_local_solution_lifts_to_global_feasible() {
         let g = gen::cycle(6);
         let ilp = problems::max_independent_set_unweighted(&g);
-        let sub = packing_restriction(&ilp, &mask_of(6, &[0, 1, 2]));
+        let sub = packing_restriction(&ilp, &[0, 1, 2]);
         let local = vec![true, false, true];
         assert!(sub.is_feasible(&local));
         let mut global = vec![false; 6];
@@ -235,7 +290,7 @@ mod tests {
     fn covering_restriction_drops_cross_constraints() {
         let g = gen::path(4);
         let ilp = problems::min_vertex_cover_unweighted(&g);
-        let sub = covering_restriction(&ilp, &mask_of(4, &[1, 2]));
+        let sub = covering_restriction(&ilp, &[1, 2]);
         // Only edge (1,2) lies fully inside.
         assert_eq!(sub.m(), 1);
         assert!(sub.is_feasible(&[true, false]));
@@ -246,9 +301,8 @@ mod tests {
     fn covering_fixed_vars_reduce_bounds() {
         let g = gen::path(3); // edges (0,1), (1,2)
         let ilp = problems::min_vertex_cover_unweighted(&g);
-        let subset = mask_of(3, &[0, 1, 2]);
         let fixed = mask_of(3, &[1]);
-        let sub = covering_restriction_with_fixed(&ilp, &subset, Some(&fixed));
+        let sub = covering_restriction_with_fixed(&ilp, &[0, 1, 2], Some(&fixed));
         // Vertex 1 is fixed to one: both edges are already covered, no
         // constraints remain, and variable 1 is absent.
         assert_eq!(sub.m(), 0);
@@ -267,8 +321,7 @@ mod tests {
                 2.0,
             )],
         );
-        let sub =
-            covering_restriction_with_fixed(&ilp, &[true, true, true], Some(&[false, false, true]));
+        let sub = covering_restriction_with_fixed(&ilp, &[0, 1, 2], Some(&[false, false, true]));
         assert_eq!(sub.m(), 1);
         assert_eq!(sub.constraints[0].bound(), 1.0);
         assert!(sub.is_feasible(&[true, false]));
@@ -279,7 +332,7 @@ mod tests {
     fn empty_subset_yields_empty_subinstance() {
         let g = gen::cycle(4);
         let ilp = problems::max_independent_set_unweighted(&g);
-        let sub = packing_restriction(&ilp, &[false; 4]);
+        let sub = packing_restriction(&ilp, &[]);
         assert_eq!(sub.n(), 0);
         assert_eq!(sub.m(), 0);
         assert!(sub.is_feasible(&[]));

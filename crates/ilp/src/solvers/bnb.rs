@@ -248,10 +248,10 @@ mod tests {
     use super::*;
     use crate::problems;
     use crate::restrict::{covering_restriction, packing_restriction};
-    use dapc_graph::gen;
+    use dapc_graph::{gen, Vertex};
 
-    fn full_mask(n: usize) -> Vec<bool> {
-        vec![true; n]
+    fn full_mask(n: usize) -> Vec<Vertex> {
+        (0..n as Vertex).collect()
     }
 
     #[test]

@@ -109,14 +109,18 @@ mod tests {
     use super::*;
     use crate::problems;
     use crate::restrict::{covering_restriction, packing_restriction};
-    use dapc_graph::gen;
+    use dapc_graph::{gen, Vertex};
+
+    fn all(n: usize) -> Vec<Vertex> {
+        (0..n as Vertex).collect()
+    }
 
     #[test]
     fn greedy_packing_is_feasible_and_maximal() {
         let mut rng = gen::seeded_rng(3);
         let g = gen::gnp(40, 0.15, &mut rng);
         let ilp = problems::max_independent_set_unweighted(&g);
-        let sub = packing_restriction(&ilp, &[true; 40]);
+        let sub = packing_restriction(&ilp, &all(40));
         let x = greedy_packing(&sub);
         assert!(sub.is_feasible(&x));
         // Maximality for MIS: every unset vertex has a set neighbour.
@@ -134,7 +138,7 @@ mod tests {
     fn greedy_packing_prefers_heavy_vertices() {
         let g = gen::star(5);
         let ilp = problems::max_independent_set(&g, vec![100, 1, 1, 1, 1]);
-        let sub = packing_restriction(&ilp, &[true; 5]);
+        let sub = packing_restriction(&ilp, &all(5));
         let x = greedy_packing(&sub);
         assert!(x[0], "hub outweighs the leaves");
         assert_eq!(sub.value(&x), 100);
@@ -145,7 +149,7 @@ mod tests {
         let mut rng = gen::seeded_rng(4);
         let g = gen::gnp(40, 0.1, &mut rng);
         let ilp = problems::min_dominating_set_unweighted(&g);
-        let sub = covering_restriction(&ilp, &[true; 40]);
+        let sub = covering_restriction(&ilp, &all(40));
         let x = greedy_covering(&sub);
         assert!(sub.is_feasible(&x));
     }
@@ -154,7 +158,7 @@ mod tests {
     fn greedy_covering_picks_hub_of_star() {
         let g = gen::star(8);
         let ilp = problems::min_dominating_set_unweighted(&g);
-        let sub = covering_restriction(&ilp, &[true; 8]);
+        let sub = covering_restriction(&ilp, &all(8));
         let x = greedy_covering(&sub);
         assert_eq!(x.iter().filter(|&&b| b).count(), 1);
         assert!(x[0]);
@@ -165,7 +169,7 @@ mod tests {
         // Two vertices can each cover everything; the cheap one should win.
         let sets = vec![vec![0, 1, 2], vec![0, 1, 2]];
         let ilp = problems::set_cover(3, &sets, vec![10, 1]);
-        let sub = covering_restriction(&ilp, &[true; 2]);
+        let sub = covering_restriction(&ilp, &all(2));
         let x = greedy_covering(&sub);
         assert_eq!(x, vec![false, true]);
     }
@@ -174,7 +178,7 @@ mod tests {
     fn empty_subinstance() {
         let g = gen::cycle(4);
         let ilp = problems::max_independent_set_unweighted(&g);
-        let sub = packing_restriction(&ilp, &[false; 4]);
+        let sub = packing_restriction(&ilp, &[]);
         assert!(greedy_packing(&sub).is_empty());
     }
 }

@@ -124,7 +124,7 @@ pub struct Solution {
 ///
 /// let g = gen::cycle(7);
 /// let ilp = problems::max_independent_set_unweighted(&g);
-/// let sub = restrict::packing_restriction(&ilp, &vec![true; 7]);
+/// let sub = restrict::packing_restriction(&ilp, &[0, 1, 2, 3, 4, 5, 6]);
 /// let sol = solvers::solve(&sub, &solvers::SolverBudget::default());
 /// assert_eq!(sol.value, 3);
 /// assert!(sol.exact);
@@ -377,10 +377,10 @@ mod tests {
     use super::*;
     use crate::problems;
     use crate::restrict::{covering_restriction, packing_restriction};
-    use dapc_graph::gen;
+    use dapc_graph::{gen, Vertex};
 
-    fn full(n: usize) -> Vec<bool> {
-        vec![true; n]
+    fn full(n: usize) -> Vec<Vertex> {
+        (0..n as Vertex).collect()
     }
 
     #[test]

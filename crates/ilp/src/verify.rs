@@ -3,6 +3,7 @@
 use crate::instance::{IlpInstance, Sense};
 use crate::restrict::{covering_restriction, packing_restriction};
 use crate::solvers::{self, SolverBudget};
+use dapc_graph::Vertex;
 
 /// A verified global solution with its quality relative to a reference
 /// optimum.
@@ -72,10 +73,10 @@ pub fn check(ilp: &IlpInstance, x: &[bool]) -> FeasibilityReport {
 /// Computes the exact (budgeted) optimum of a whole instance by treating it
 /// as one big local sub-instance.
 pub fn optimum(ilp: &IlpInstance, budget: &SolverBudget) -> (u64, bool) {
-    let full = vec![true; ilp.n()];
+    let all: Vec<Vertex> = (0..ilp.n() as Vertex).collect();
     let sub = match ilp.sense() {
-        Sense::Packing => packing_restriction(ilp, &full),
-        Sense::Covering => covering_restriction(ilp, &full),
+        Sense::Packing => packing_restriction(ilp, &all),
+        Sense::Covering => covering_restriction(ilp, &all),
     };
     let sol = solvers::solve(&sub, budget);
     (sol.value, sol.exact)

@@ -133,6 +133,11 @@ mod tests {
     use dapc_ilp::restrict::packing_restriction;
     use dapc_ilp::solvers::{self, SolverBudget};
 
+    /// Every variable of an `n`-variable instance, ascending.
+    fn all(n: usize) -> Vec<dapc_graph::Vertex> {
+        (0..n as dapc_graph::Vertex).collect()
+    }
+
     #[test]
     fn b3_and_b7_parameters() {
         assert_eq!(theorem_b3_x(0.04), 0); // 0.08/0.04 = 2 -> (2−1)/18 < 1
@@ -154,7 +159,7 @@ mod tests {
         // Exact IS on the subdivision.
         let ilp = problems::max_independent_set_unweighted(&sub.graph);
         let sol = solvers::solve(
-            &packing_restriction(&ilp, &vec![true; sub.graph.n()]),
+            &packing_restriction(&ilp, &all(sub.graph.n())),
             &SolverBudget::default(),
         );
         let extracted = extract_is_from_subdivision(&sub, &sol.assignment, &mut rng);
@@ -218,7 +223,7 @@ mod tests {
         // Exact minimum dominating set of G*.
         let ilp = problems::min_dominating_set_unweighted(&gstar);
         let budget = SolverBudget::default();
-        let sub = dapc_ilp::restrict::covering_restriction(&ilp, &vec![true; gstar.n()]);
+        let sub = dapc_ilp::restrict::covering_restriction(&ilp, &all(gstar.n()));
         let sol = solvers::solve(&sub, &budget);
         let cover = vc_from_gadget_dominating_set(&g, &edges, &sol.assignment);
         // It must be a vertex cover of G of size <= |DS|.
@@ -268,7 +273,7 @@ mod tests {
         let sub = subdivide(&g, x);
         let ilp = problems::max_independent_set_unweighted(&sub.graph);
         let sol = solvers::solve(
-            &packing_restriction(&ilp, &vec![true; sub.graph.n()]),
+            &packing_restriction(&ilp, &all(sub.graph.n())),
             &SolverBudget::default(),
         );
         let extracted =

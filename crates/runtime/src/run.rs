@@ -23,6 +23,7 @@ use crate::part::PartReport;
 use crate::report::{BatchAggregator, BatchReport, JobResult, StreamReport};
 use dapc_core::engine;
 use dapc_core::prep::SubsetSolver;
+use dapc_graph::Vertex;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -453,15 +454,15 @@ fn reference_optima(
 ) -> BTreeMap<String, (u64, bool)> {
     let mut optima = BTreeMap::new();
     for inst in instances {
-        let full = vec![true; inst.ilp.n()];
+        let all: Vec<Vertex> = (0..inst.ilp.n() as Vertex).collect();
         let budget = corpus.base.budget;
         let mut solver = if use_cache {
             SubsetSolver::with_shared(&inst.ilp, budget, cache.family(&inst.ilp, &budget))
         } else {
             SubsetSolver::new(&inst.ilp, budget)
         };
-        let (opt, _, exact) = solver.solve_mask(&full, None);
-        optima.insert(inst.name.clone(), (opt, exact));
+        let entry = solver.solve(&all, None);
+        optima.insert(inst.name.clone(), (entry.value, entry.exact));
     }
     optima
 }

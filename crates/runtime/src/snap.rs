@@ -15,7 +15,6 @@
 //!    loaders parse a full snapshot into fresh values before mutating
 //!    anything, so a failed load never half-applies.
 
-use dapc_ilp::hash::{fnv1a_128, FNV128_OFFSET};
 use std::io::{self, Read, Write};
 
 /// An [`std::io::ErrorKind::InvalidData`] error with `msg`.
@@ -100,71 +99,7 @@ pub fn read_str<R: Read>(r: &mut R, what: &str) -> io::Result<String> {
     String::from_utf8(bytes).map_err(|_| invalid(format!("{what} is not UTF-8")))
 }
 
-/// Appends the 16-byte FNV-1a-128 seal over everything currently in
-/// `buf`. Sealed formats serialise all fields into a buffer first, call
-/// this last, and write the buffer in one shot; loaders parse the
-/// fields through a [`SealingReader`] and call
-/// [`SealingReader::verify_seal`] once every field is in. Any bit flip
-/// or truncation anywhere under the seal is then guaranteed to surface
-/// as an `Err` — a snapshot can fail to load, but never half-load or
-/// load wrong.
-pub fn seal(buf: &mut Vec<u8>) {
-    let digest = fnv1a_128(FNV128_OFFSET, buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
-}
-
-/// A reader that folds every byte it passes through into a running
-/// FNV-1a-128 digest, so a loader can parse a sealed snapshot's fields
-/// normally and then check the trailing seal against exactly the bytes
-/// it consumed. Field-level validation errors fire first (they read
-/// fewer bytes); the seal catches everything those checks cannot.
-pub struct SealingReader<R> {
-    inner: R,
-    digest: u128,
-}
-
-impl<R: Read> SealingReader<R> {
-    /// Starts a fresh digest over `inner`.
-    pub fn new(inner: R) -> Self {
-        SealingReader {
-            inner,
-            digest: FNV128_OFFSET,
-        }
-    }
-
-    /// Reads the 16-byte seal from the underlying stream (NOT folded
-    /// into the digest) and compares it with the digest of everything
-    /// read so far. Call after the last sealed field and before any
-    /// trailing-bytes check.
-    pub fn verify_seal(&mut self, what: &str) -> io::Result<()> {
-        let expect = self.digest;
-        let mut buf = [0u8; 16];
-        self.inner.read_exact(&mut buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("truncated {what} snapshot seal"),
-                )
-            } else {
-                e
-            }
-        })?;
-        if u128::from_le_bytes(buf) != expect {
-            return Err(invalid(format!(
-                "{what} snapshot seal mismatch (corrupt or torn file)"
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl<R: Read> Read for SealingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.digest = fnv1a_128(self.digest, &buf[..n]);
-        Ok(n)
-    }
-}
+pub use dapc_core::snapmagic::{seal, SealingReader};
 
 /// Checks an 8-byte `magic` prefix whose last byte is the format
 /// version, failing with distinct messages for "not this format at all"
